@@ -12,7 +12,9 @@
 #include "cc/PrefixOracle.h"
 #include "core/Metrics.h"
 #include "core/Trainer.h"
+#include "nn/Attention.h"
 #include "nn/Beam.h"
+#include "nn/BeamCore.h"
 #include "nn/DraftModel.h"
 #include "nn/Mat.h"
 #include "nn/Parallel.h"
@@ -21,6 +23,7 @@
 #include "obs/Trace.h"
 #include "serve/Engine.h"
 #include "serve/Scheduler.h"
+#include "tok/VocabConstraint.h"
 #include "vm/Interp.h"
 
 #include <benchmark/benchmark.h>
@@ -315,6 +318,124 @@ void BM_TickThreadScaling(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TickThreadScaling)->Arg(1)->Arg(2)->Arg(4);
+
+/// One decoder layer's cross-attention for the 5 beams of one source
+/// (every head; the rows form one group), over a real EncoderCache of a
+/// source of Arg tokens. The tick runs it once per decoder layer.
+void BM_CrossAttention(benchmark::State &State) {
+  nn::TransformerConfig MC;
+  MC.Vocab = 512;
+  MC.MaxLen = 336;
+  nn::Transformer Model(MC);
+  const int T = static_cast<int>(State.range(0)), Rows = 5;
+  std::vector<int> Src;
+  for (int I = 0; I < T; ++I)
+    Src.push_back(3 + (I * 7) % 500);
+  auto Enc = Model.encodeSource(Src);
+  const int D = MC.DModel, H = MC.NHeads, Dh = D / H;
+  const size_t KStride = static_cast<size_t>(nn::crossKStride(T));
+  std::vector<float> Q(static_cast<size_t>(Rows) * D), Out(Q.size()),
+      Scores(static_cast<size_t>(Rows) * KStride);
+  for (size_t I = 0; I < Q.size(); ++I)
+    Q[I] = static_cast<float>((I * 37) % 64) / 32.0f - 1.0f;
+  const float InvS = 1.0f / std::sqrt(static_cast<float>(Dh));
+  for (auto _ : State) {
+    for (int Hd = 0; Hd < H; ++Hd)
+      nn::crossAttendGroup(Q.data(), Out.data(), Rows, D, Dh, Hd,
+                           Enc->CrossKT[0].data(), KStride,
+                           Enc->CrossV[0].data(), T, InvS, Scores.data(),
+                           KStride);
+    benchmark::DoNotOptimize(Out.data());
+  }
+}
+BENCHMARK(BM_CrossAttention)
+    ->Arg(64)
+    ->Arg(246)
+    ->Arg(330)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Beam selection (log-softmax, top-k, candidate ordering, retirement
+/// and, constrained, the grammar mask) as the decode tick runs it after
+/// the forward, which BM_DecodeStepBatched5 leaves out. The logits of
+/// whole k=5 decodes of ARM O3 functions by the benchmark's pinned ARM O3
+/// weights (perfbench/weights) are recorded once; each iteration replays
+/// every decode's selections from scratch (a fresh mask cache per
+/// decode, as in a real decode), so the trajectories, mask reuse
+/// included, are the real ones. Reports the mean per 5-beam tick.
+void BM_BeamSelect(benchmark::State &State, bool Constrained) {
+  static const auto Sys =
+      core::loadSystem(SLADE_SOURCE_DIR "/perfbench/weights", "slade_arm_O3");
+  if (!Sys) {
+    State.SkipWithError("pinned ARM O3 weights not found");
+    return;
+  }
+  static const tok::VocabConstraint VC(Sys->Tok);
+  const nn::Transformer &Model = Sys->Model;
+  const int V = Model.config().Vocab;
+  nn::BeamConfig BC; // k = 5, MaxLen 220: the decompiler's defaults.
+  if (Constrained)
+    BC.Constraint = &VC;
+
+  // Per decode: the logits every tick's selection consumed.
+  std::vector<std::vector<std::vector<float>>> Decodes;
+  dataset::Corpus Corpus = dataset::buildCorpus(dataset::Suite::ExeBench, 0,
+                                                24, /*Seed=*/20240505);
+  for (const core::EvalTask &T :
+       core::buildTasks(Corpus.Test, asmx::Dialect::Arm, /*Optimize=*/true)) {
+    if (Decodes.size() == 8)
+      break;
+    auto Enc = Model.encodeSource(Sys->Tok.encode(T.Prog.TargetAsm));
+    nn::Transformer::BatchDecodeState St =
+        Model.startDecodeBatch(Enc, BC.BeamSize, BC.MaxLen + 1);
+    std::vector<float> Logits =
+        Model.stepDecodeBatch(St, {nn::Transformer::BosId});
+    std::vector<nn::beamcore::BeamMeta> Live(1);
+    std::vector<nn::Hypothesis> Done;
+    nn::beamcore::SelectScratch S;
+    nn::beamcore::ConstraintCtx CC;
+    CC.init(BC);
+    Decodes.emplace_back();
+    for (int It = 0; It < BC.MaxLen && !Live.empty(); ++It) {
+      Decodes.back().push_back(Logits);
+      nn::beamcore::SelectResult R = nn::beamcore::selectBeamStep(
+          Live, Done, [&](size_t B) { return Logits.data() + B * V; }, V,
+          BC, S, &CC);
+      if (R.StopNow)
+        break;
+      if (!Live.empty()) {
+        Model.reorderBeams(St, R.SrcIdx);
+        Logits = Model.stepDecodeBatch(St, R.Tokens);
+      }
+    }
+  }
+
+  int64_t Ticks = 0;
+  nn::beamcore::SelectScratch S;
+  for (auto _ : State) {
+    for (const std::vector<std::vector<float>> &Rec : Decodes) {
+      std::vector<nn::beamcore::BeamMeta> Live(1);
+      std::vector<nn::Hypothesis> Done;
+      nn::beamcore::ConstraintCtx CC;
+      CC.init(BC);
+      for (const std::vector<float> &Logits : Rec) {
+        ++Ticks;
+        nn::beamcore::SelectResult R = nn::beamcore::selectBeamStep(
+            Live, Done, [&](size_t B) { return Logits.data() + B * V; }, V,
+            BC, S, &CC);
+        if (R.StopNow)
+          break;
+      }
+      benchmark::DoNotOptimize(Done.data());
+    }
+  }
+  State.counters["per_tick"] = benchmark::Counter(
+      static_cast<double>(Ticks),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_BeamSelect, plain, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BeamSelect, constrained, true)
+    ->Unit(benchmark::kMillisecond);
 
 /// The observability tax on the decode hot loop: one batched decode
 /// step wrapped in EXACTLY the per-tick instrumentation the engine's

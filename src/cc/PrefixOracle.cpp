@@ -22,6 +22,7 @@
 
 #include "cc/PrefixOracle.h"
 
+#include <cassert>
 #include <cctype>
 
 using namespace slade;
@@ -2016,6 +2017,18 @@ PrefixOracle::PendClass PrefixOracle::pendClass(const State &S) const {
   default:
     return P_None;
   }
+}
+
+void PrefixOracle::stateKey(const State &S, std::string &Key) {
+  static_assert(sizeof(Frame) == 4, "frames are copied as padding-free bytes");
+  assert(S.SP >= 0 && S.SP <= MaxFrames && S.BufLen <= sizeof(S.Buf));
+  Key.assign(1, static_cast<char>(S.SP));
+  Key.append(reinterpret_cast<const char *>(S.Stack),
+             static_cast<size_t>(S.SP) * sizeof(Frame));
+  const uint8_t Fields[] = {S.Dead,  S.Generous,     S.Lex,
+                            S.NumSt, S.WordViaIdent, S.BufLen};
+  Key.append(reinterpret_cast<const char *>(Fields), sizeof(Fields));
+  Key.append(S.Buf, S.BufLen);
 }
 
 std::string_view PrefixOracle::pendingText(const State &S) const {

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <string_view>
 
 namespace slade {
@@ -159,6 +160,15 @@ public:
   /// whitespace boundary (what feeding ' ' does, minus the space).
   /// May come back dead (e.g. an unterminated string).
   State boundary(const State &S) const;
+
+  /// Sets \p Key to a byte string of \p S's live fields: SP,
+  /// Stack[0..SP), Dead, Generous, Lex, NumSt, WordViaIdent, BufLen and
+  /// Buf[0..BufLen). The cached terminal mask (a function of those
+  /// fields) and stale bytes past SP or BufLen are left out. Two states
+  /// get equal keys exactly when every live field is equal, so the key
+  /// can index anything computed from a state, such as its vocabulary
+  /// mask (nn/BeamCore.h).
+  static void stateKey(const State &S, std::string &Key);
 
   /// Pending-tail introspection for the vocabulary-mask fast path.
   PendClass pendClass(const State &S) const;

@@ -54,15 +54,12 @@ HypothesisOutcome evaluateStaged(const EvalTask &Task,
 
   // Insert the hypothesis into the original calling context (§VII-A2) and
   // recompile. The hypothesis must define the target function.
-  std::string Combined = Prelude + Task.ContextSource + "\n" +
-                         HypothesisSource;
   CompileLimits CL;
   CL.Deadline = Deadline;
   auto Compiled = compileProgram(HypothesisSource,
                                  Prelude + Task.ContextSource,
                                  Task.Prog.Target->Name, Task.D,
                                  /*Optimize=*/false, CL);
-  (void)Combined;
   if (!Compiled) {
     if (Expired() && TimedOut)
       *TimedOut = true;

@@ -20,8 +20,12 @@
 #include "tok/VocabConstraint.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,21 +47,53 @@ inline void logSoftmax(const float *Logits, int V, std::vector<float> &Out) {
     Out[static_cast<size_t>(I)] = Logits[I] - LogZ;
 }
 
-/// Top-K token indices by (log-prob desc, index asc) via a bounded
-/// min-heap: O(V log K), no vocab-sized index vector, scratch reused
-/// across beams and steps.
-inline void topK(const std::vector<float> &LogP, int K,
-                 std::vector<std::pair<float, int>> &Heap,
-                 std::vector<int> &Out) {
-  int V = static_cast<int>(LogP.size());
-  K = std::min(K, V);
+/// Log-probabilities of the allowed entries \p Ids (ascending) of a row
+/// whose other entries are masked to -1e30f, as logSoftmax gives them
+/// over the masked row; other LogP entries are not written. The sum
+/// skips the masked entries. Returns true when every allowed entry ranks
+/// strictly above the masked ones: then every allowed logit, and so the
+/// maximum, lies above -1e30f, a masked entry's exp(-1e30f - MaxV) is
+/// exactly +0.0 (adding it would leave the double sum unchanged), the
+/// results are bit-exact, and masked entries can only trail the row's
+/// top-k. Otherwise (logits at or near -1e30f, or NaN) the caller takes
+/// the full path.
+inline bool logSoftmaxAllowed(const float *Logits,
+                              const std::vector<uint16_t> &Ids,
+                              std::vector<float> &LogP) {
+  float MaxV = -1e30f;
+  for (uint16_t I : Ids)
+    MaxV = std::max(MaxV, Logits[I]);
+  double Sum = 0;
+  for (uint16_t I : Ids)
+    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
+  float LogZ = MaxV + static_cast<float>(std::log(Sum));
+  float MaskedLogP = -1e30f - LogZ;
+  bool Above = true;
+  for (uint16_t I : Ids) {
+    LogP[I] = Logits[I] - LogZ;
+    Above &= LogP[I] > MaskedLogP;
+  }
+  return Above;
+}
+
+/// Top-K of the N candidate token ids IdOf(0..N) by (log-prob desc,
+/// index asc) via a bounded min-heap: O(N log K), scratch reused across
+/// beams and steps. The result is the top K of the candidate set under
+/// that total order, so for a subset of the vocabulary it is the subset's
+/// members among the full top-K, in the same order.
+template <typename IdOf>
+inline void topKOf(const std::vector<float> &LogP, int N, const IdOf &Id,
+                   int K, std::vector<std::pair<float, int>> &Heap,
+                   std::vector<int> &Out) {
+  K = std::min(K, N);
   // "Better" orders by higher log-prob, ties to the lower token id.
   auto Better = [](const std::pair<float, int> &A,
                    const std::pair<float, int> &B) {
     return A.first > B.first || (A.first == B.first && A.second < B.second);
   };
   Heap.clear();
-  for (int I = 0; I < V; ++I) {
+  for (int C = 0; C < N; ++C) {
+    int I = Id(C);
     std::pair<float, int> Cand{LogP[static_cast<size_t>(I)], I};
     if (static_cast<int>(Heap.size()) < K) {
       Heap.push_back(Cand);
@@ -72,6 +108,14 @@ inline void topK(const std::vector<float> &LogP, int K,
   Out.clear();
   for (const auto &P : Heap)
     Out.push_back(P.second);
+}
+
+/// Top-K over the whole vocabulary.
+inline void topK(const std::vector<float> &LogP, int K,
+                 std::vector<std::pair<float, int>> &Heap,
+                 std::vector<int> &Out) {
+  topKOf(LogP, static_cast<int>(LogP.size()), [](int C) { return C; }, K,
+         Heap, Out);
 }
 
 struct Cand {
@@ -108,22 +152,55 @@ struct SelectResult {
 /// the unconstrained path, bit-for-bit identical to the pre-constraint
 /// code.
 struct ConstraintCtx {
+  /// One allowedTokens result.
+  struct Mask {
+    std::vector<uint8_t> Allowed;
+    std::vector<uint16_t> Ids; ///< The allowed ids, ascending.
+    int Masked = 0;            ///< Disallowed ids.
+  };
+  /// The masks a decode has computed, keyed by PrefixOracle::stateKey.
+  /// A decode's beams keep landing in the same few oracle states, so most
+  /// beam steps reuse a mask.
+  struct MaskCache {
+    std::unordered_map<std::string, Mask> ByState;
+    std::string Key; ///< Lookup scratch.
+  };
+
   const tok::VocabConstraint *Vocab = nullptr;
   ConstraintStats *Stats = nullptr;
   std::vector<cc::PrefixOracle::State> States; ///< Parallel to Live.
-  // Scratch reused across steps.
-  std::vector<uint8_t> Allowed;
-  std::vector<float> MaskedLogits;
-  std::vector<cc::PrefixOracle::State> NextStates;
+  /// Lives for one decode (init() starts a new one). Copies of the
+  /// context share it: a speculative simulation's lookups fill the cache
+  /// of the decode it simulates.
+  std::shared_ptr<MaskCache> Masks;
+  std::vector<cc::PrefixOracle::State> NextStates; ///< Step scratch.
 
   void init(const BeamConfig &Cfg) {
     Vocab = Cfg.Constraint;
     Stats = Cfg.Stats;
     States.clear();
-    if (Vocab)
+    Masks.reset();
+    if (Vocab) {
       States.push_back(Vocab->start());
+      Masks = std::make_shared<MaskCache>();
+    }
   }
   bool active() const { return Vocab != nullptr; }
+
+  /// Vocab->allowedTokens(S), computed once per distinct state.
+  const Mask &mask(const cc::PrefixOracle::State &S) {
+    cc::PrefixOracle::stateKey(S, Masks->Key);
+    auto It = Masks->ByState.find(Masks->Key);
+    if (It == Masks->ByState.end()) {
+      It = Masks->ByState.emplace(Masks->Key, Mask()).first;
+      Mask &M = It->second;
+      M.Masked = Vocab->allowedTokens(S, M.Allowed);
+      for (size_t I = 0; I < M.Allowed.size(); ++I)
+        if (M.Allowed[I])
+          M.Ids.push_back(static_cast<uint16_t>(I));
+    }
+    return It->second;
+  }
 };
 
 /// One expansion step for one source's beams: log-softmax + top-k per
@@ -143,33 +220,48 @@ SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
   bool Constrained = CC && CC->active();
   for (size_t BI = 0; BI < Live.size(); ++BI) {
     const float *Row = Logits(BI);
+    const uint8_t *Allowed = nullptr;
     if (Constrained) {
       // Mask pieces whose text kills every syntactic continuation of
       // this beam BEFORE softmax/top-k, so probability mass and the
       // candidate pool only ever cover viable tokens.
       auto T0 = std::chrono::steady_clock::now();
-      int Masked = CC->Vocab->allowedTokens(CC->States[BI], CC->Allowed);
-      CC->MaskedLogits.assign(Row, Row + Vocab);
-      for (int I = 0; I < Vocab; ++I)
-        if (!CC->Allowed[static_cast<size_t>(I)])
-          CC->MaskedLogits[static_cast<size_t>(I)] = -1e30f;
+      const ConstraintCtx::Mask &M = CC->mask(CC->States[BI]);
+      assert(M.Allowed.size() == static_cast<size_t>(Vocab));
+      Allowed = M.Allowed.data();
       if (CC->Stats) {
-        CC->Stats->TokensMasked += static_cast<uint64_t>(Masked);
+        CC->Stats->TokensMasked += static_cast<uint64_t>(M.Masked);
         CC->Stats->OracleSeconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           T0)
                 .count();
-        if (Masked >= Vocab)
+        if (M.Masked >= Vocab)
           ++CC->Stats->BeamsKilled; // Contributes no candidates below.
       }
-      logSoftmax(CC->MaskedLogits.data(), Vocab, S.LogP);
+      if (M.Ids.empty())
+        continue; // A fully-masked beam dies here (its K/V row frees).
+      // The masked row's log-softmax and top-k, over the allowed ids: a
+      // masked entry would only ever fill a top-k slot to be dropped
+      // below.
+      S.LogP.resize(static_cast<size_t>(Vocab));
+      if (logSoftmaxAllowed(Row, M.Ids, S.LogP)) {
+        topKOf(
+            S.LogP, static_cast<int>(M.Ids.size()),
+            [&](int C) { return static_cast<int>(M.Ids[C]); }, Cfg.BeamSize,
+            S.Heap, S.Top);
+      } else {
+        for (int I = 0; I < Vocab; ++I)
+          S.LogP[static_cast<size_t>(I)] = Allowed[I] ? Row[I] : -1e30f;
+        logSoftmax(S.LogP.data(), Vocab, S.LogP); // In place, per entry.
+        topK(S.LogP, Cfg.BeamSize, S.Heap, S.Top);
+      }
     } else {
       logSoftmax(Row, Vocab, S.LogP);
+      topK(S.LogP, Cfg.BeamSize, S.Heap, S.Top);
     }
-    topK(S.LogP, Cfg.BeamSize, S.Heap, S.Top);
     for (int Tok : S.Top) {
-      if (Constrained && !CC->Allowed[static_cast<size_t>(Tok)])
-        continue; // A fully-masked beam dies here (its K/V row frees).
+      if (Allowed && !Allowed[Tok])
+        continue; // Only a masked top-k filler: never a candidate.
       S.Cands.push_back({Live[BI].Score + S.LogP[static_cast<size_t>(Tok)],
                          static_cast<int>(BI), Tok});
     }

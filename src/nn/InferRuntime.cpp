@@ -2,7 +2,7 @@
 
 #include "nn/InferRuntime.h"
 
-#include "nn/SimdExp.h"
+#include "nn/Attention.h"
 
 #include <algorithm>
 #include <cassert>
@@ -346,19 +346,27 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
 void InferRuntime::finishEncoderCache(
     Transformer::EncoderCache &Cache) const {
   int D = M.Cfg.DModel, T = Cache.TSrc;
+  size_t KStride = static_cast<size_t>(crossKStride(T));
   // Cross-attention K/V per decoder layer, batched over the source
-  // positions.
-  Cache.CrossK.resize(M.Dec.size());
+  // positions. K is projected row-major into V's buffer, then stored
+  // transposed ([D][KStride], zero-padded) for the decoder's group
+  // kernel; V's projection then overwrites the buffer.
+  Cache.CrossKT.resize(M.Dec.size());
   Cache.CrossV.resize(M.Dec.size());
   std::shared_ptr<const Transformer::PackedWeights> PW = M.packedWeights();
   for (size_t L = 0; L < M.Dec.size(); ++L) {
     const Transformer::Attn &A = M.Dec[L].Cross;
-    Cache.CrossK[L].assign(static_cast<size_t>(T) * D, 0.0f);
-    Cache.CrossV[L].assign(static_cast<size_t>(T) * D, 0.0f);
+    std::vector<float> &V = Cache.CrossV[L];
+    V.assign(static_cast<size_t>(T) * D, 0.0f);
     linearRows(Cache.EncOut.data(), T, PW->CrossWk[L], A.Bk.V.data(),
-               Cache.CrossK[L].data(), TP);
+               V.data(), TP);
+    std::vector<float> &KT = Cache.CrossKT[L];
+    KT.assign(static_cast<size_t>(D) * KStride, 0.0f);
+    for (size_t Tt = 0; Tt < static_cast<size_t>(T); ++Tt)
+      for (size_t J = 0; J < static_cast<size_t>(D); ++J)
+        KT[J * KStride + Tt] = V[Tt * D + J];
     linearRows(Cache.EncOut.data(), T, PW->CrossWv[L], A.Bv.V.data(),
-               Cache.CrossV[L].data(), TP);
+               V.data(), TP);
   }
   // Decode-session constants (fused Q|K|V projection, transposed output
   // embedding) are per-model, not per-source: borrow the shared
@@ -550,8 +558,6 @@ Transformer::BatchDecodeState InferRuntime::startDecodeBatchMulti(
   St.AttnOut.resize(Rows);
   St.Proj.resize(Rows);
   St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
-  St.Scores.resize(static_cast<size_t>(M.Cfg.NHeads) *
-                   std::max(St.Cap, St.MaxTSrc));
   return St;
 }
 
@@ -584,8 +590,6 @@ InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
   St.AttnOut.resize(Rows);
   St.Proj.resize(Rows);
   St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
-  // MaxTSrc is unknown until sources bind; admitStreamRow grows Scores.
-  St.Scores.resize(static_cast<size_t>(M.Cfg.NHeads) * St.Cap);
   return St;
 }
 
@@ -612,192 +616,11 @@ int InferRuntime::admitStreamRow(
     return -1;
   St.SegLen[static_cast<size_t>(Seg)] = 0; // Fresh decode clock.
   St.MaxTSrc = std::max(St.MaxTSrc, Enc->TSrc);
-  size_t NeedScores = static_cast<size_t>(M.Cfg.NHeads) *
-                      static_cast<size_t>(std::max(St.Cap, St.MaxTSrc));
-  if (St.Scores.size() < NeedScores)
-    St.Scores.resize(NeedScores);
   int Row = St.B++;
   St.RowEnc[static_cast<size_t>(Row)] = std::move(Enc);
   St.RowSource[static_cast<size_t>(Row)] = static_cast<uint16_t>(Seg);
   return Row;
 }
-
-namespace {
-
-#ifdef SLADE_SIMD_EXP
-
-/// AVX2 softmax-attention over cached rows for one query row, one head
-/// slice of DhT = NV*8 floats. The score pass keeps the dot product in
-/// two FMA chains per row; the value pass holds the output slice in NV
-/// register accumulators across the whole context.
-template <int NV, typename RowOfK, typename RowOfV>
-inline void attendHeadAVX(const float *Qh, float *Oh, int T, int Off,
-                          float InvS, float *SRow, const RowOfK &KRowOf,
-                          const RowOfV &VRowOf) {
-  __m256 Q[NV];
-  for (int V = 0; V < NV; ++V)
-    Q[V] = _mm256_loadu_ps(Qh + V * 8);
-  float MaxS = -1e30f;
-  for (int Tt = 0; Tt < T; ++Tt) {
-    const float *KRow = KRowOf(Tt) + Off;
-    __m256 Acc = _mm256_mul_ps(Q[0], _mm256_loadu_ps(KRow));
-    for (int V = 1; V < NV; ++V)
-      Acc = _mm256_fmadd_ps(Q[V], _mm256_loadu_ps(KRow + V * 8), Acc);
-    float Dot = hsum256(Acc) * InvS;
-    SRow[Tt] = Dot;
-    MaxS = std::max(MaxS, Dot);
-  }
-  __m256 MaxV = _mm256_set1_ps(MaxS);
-  __m256 SumV = _mm256_setzero_ps();
-  int Tt = 0;
-  for (; Tt + 8 <= T; Tt += 8) {
-    __m256 E = exp256Ps(_mm256_sub_ps(_mm256_loadu_ps(SRow + Tt), MaxV));
-    _mm256_storeu_ps(SRow + Tt, E);
-    SumV = _mm256_add_ps(SumV, E);
-  }
-  float Sum = hsum256(SumV);
-  for (; Tt < T; ++Tt) {
-    SRow[Tt] = expPsScalar(SRow[Tt] - MaxS);
-    Sum += SRow[Tt];
-  }
-  float InvSum = 1.0f / Sum;
-  __m256 Acc[NV];
-  for (int V = 0; V < NV; ++V)
-    Acc[V] = _mm256_setzero_ps();
-  for (Tt = 0; Tt < T; ++Tt) {
-    const float *VRow = VRowOf(Tt) + Off;
-    __m256 W = _mm256_set1_ps(SRow[Tt] * InvSum);
-    for (int V = 0; V < NV; ++V)
-      Acc[V] = _mm256_fmadd_ps(W, _mm256_loadu_ps(VRow + V * 8), Acc[V]);
-  }
-  for (int V = 0; V < NV; ++V)
-    _mm256_storeu_ps(Oh + V * 8, Acc[V]);
-}
-
-#endif // SLADE_SIMD_EXP
-
-/// Softmax-attention over cached K/V rows for one query row. Per-head
-/// passes with a fixed-width register accumulator for the value
-/// reduction: each pass streams only its head's Dh-float slice of the
-/// cache, so total memory traffic matches a single fused pass while the
-/// inner loops stay pure FMA chains. DhT is the compile-time head width.
-template <int DhT, typename RowOfK, typename RowOfV>
-inline void attendCached(const float *QRow, float *ORow, int T, int H,
-                         float InvS, float *Scores, int ScoreStride,
-                         const RowOfK &KRowOf, const RowOfV &VRowOf) {
-  for (int Hd = 0; Hd < H; ++Hd) {
-    int Off = Hd * DhT;
-    float *SRow = Scores + static_cast<size_t>(Hd) * ScoreStride;
-    const float *Qh = QRow + Off;
-    float MaxS = -1e30f;
-    for (int Tt = 0; Tt < T; ++Tt) {
-      const float *KRow = KRowOf(Tt) + Off;
-      float Dot = 0;
-#pragma omp simd reduction(+ : Dot)
-      for (int Jj = 0; Jj < DhT; ++Jj)
-        Dot += Qh[Jj] * KRow[Jj];
-      SRow[Tt] = Dot * InvS;
-      MaxS = std::max(MaxS, SRow[Tt]);
-    }
-    float Sum = 0;
-    for (int Tt = 0; Tt < T; ++Tt) {
-      SRow[Tt] = std::exp(SRow[Tt] - MaxS);
-      Sum += SRow[Tt];
-    }
-    float InvSum = 1.0f / Sum;
-    float Acc[DhT] = {};
-    for (int Tt = 0; Tt < T; ++Tt) {
-      float W = SRow[Tt] * InvSum;
-      const float *VRow = VRowOf(Tt) + Off;
-#pragma omp simd
-      for (int Jj = 0; Jj < DhT; ++Jj)
-        Acc[Jj] += W * VRow[Jj];
-    }
-    float *Oh = ORow + Off;
-#pragma omp simd
-    for (int Jj = 0; Jj < DhT; ++Jj)
-      Oh[Jj] = Acc[Jj];
-  }
-}
-
-/// Runtime-Dh dispatcher: common head widths get the fixed-width kernel.
-template <typename RowOfK, typename RowOfV>
-inline void attendCachedDyn(const float *QRow, float *ORow, int T, int H,
-                            int Dh, float InvS, float *Scores,
-                            int ScoreStride, const RowOfK &KRowOf,
-                            const RowOfV &VRowOf) {
-#ifdef SLADE_SIMD_EXP
-  if (Dh % 8 == 0 && Dh <= 32) {
-    for (int Hd = 0; Hd < H; ++Hd) {
-      int Off = Hd * Dh;
-      const float *Qh = QRow + Off;
-      float *Oh = ORow + Off;
-      float *SRow = Scores + static_cast<size_t>(Hd) * ScoreStride;
-      switch (Dh / 8) {
-      case 1:
-        attendHeadAVX<1>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      case 2:
-        attendHeadAVX<2>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      case 3:
-        attendHeadAVX<3>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      default:
-        attendHeadAVX<4>(Qh, Oh, T, Off, InvS, SRow, KRowOf, VRowOf);
-        break;
-      }
-    }
-    return;
-  }
-#endif
-  switch (Dh) {
-  case 8:
-    attendCached<8>(QRow, ORow, T, H, InvS, Scores, ScoreStride, KRowOf,
-                    VRowOf);
-    return;
-  case 16:
-    attendCached<16>(QRow, ORow, T, H, InvS, Scores, ScoreStride, KRowOf,
-                     VRowOf);
-    return;
-  case 32:
-    attendCached<32>(QRow, ORow, T, H, InvS, Scores, ScoreStride, KRowOf,
-                     VRowOf);
-    return;
-  default:
-    break;
-  }
-  // Generic fallback, same math in the same order.
-  for (int Hd = 0; Hd < H; ++Hd) {
-    int Off = Hd * Dh;
-    float *SRow = Scores + static_cast<size_t>(Hd) * ScoreStride;
-    float MaxS = -1e30f;
-    for (int Tt = 0; Tt < T; ++Tt) {
-      const float *KRow = KRowOf(Tt) + Off;
-      float Dot = 0;
-      for (int Jj = 0; Jj < Dh; ++Jj)
-        Dot += QRow[Off + Jj] * KRow[Jj];
-      SRow[Tt] = Dot * InvS;
-      MaxS = std::max(MaxS, SRow[Tt]);
-    }
-    float Sum = 0;
-    for (int Tt = 0; Tt < T; ++Tt) {
-      SRow[Tt] = std::exp(SRow[Tt] - MaxS);
-      Sum += SRow[Tt];
-    }
-    float InvSum = 1.0f / Sum;
-    for (int Jj = 0; Jj < Dh; ++Jj)
-      ORow[Off + Jj] = 0;
-    for (int Tt = 0; Tt < T; ++Tt) {
-      float W = SRow[Tt] * InvSum;
-      const float *VRow = VRowOf(Tt) + Off;
-      for (int Jj = 0; Jj < Dh; ++Jj)
-        ORow[Off + Jj] += W * VRow[Jj];
-    }
-  }
-}
-
-} // namespace
 
 std::vector<float>
 InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
@@ -828,11 +651,27 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   if (TP && TP->threads() <= 1)
     TP = nullptr;
 
-  int ScoreStride = std::max(St.Cap, St.MaxTSrc);
-  // One score slab [H, ScoreStride] per pool chunk so concurrent rows
-  // never share softmax scratch; chunk 0's slab is the sequential one.
-  Grow(St.Scores, static_cast<size_t>(TP ? TP->threads() : 1) * H *
-                      ScoreStride);
+  // Cross-attention groups: maximal runs of adjacent rows that share an
+  // EncoderCache. Each group attends in one pass per head.
+  std::vector<int> &Groups = St.CrossGroups;
+  Groups.clear();
+  for (int R = 0; R < N; ++R)
+    if (R == 0 || Rows[static_cast<size_t>(R)].Enc !=
+                      Rows[static_cast<size_t>(R - 1)].Enc)
+      Groups.push_back(R);
+  Groups.push_back(N);
+  int NumGroups = static_cast<int>(Groups.size()) - 1, GroupMax = 0;
+  for (size_t G = 0; G + 1 < Groups.size(); ++G)
+    GroupMax = std::max(GroupMax, Groups[G + 1] - Groups[G]);
+
+  // One score slab per pool chunk so concurrent work never shares softmax
+  // scratch (chunk 0's slab is the sequential one): a row per head for
+  // self-attention, a row per group member for cross-attention. Rows are
+  // whole vectors long so the cross kernel's padded stores fit.
+  int ScoreStride = crossKStride(std::max(St.Cap, St.MaxTSrc));
+  size_t SlabFloats =
+      static_cast<size_t>(std::max(H, GroupMax)) * ScoreStride;
+  Grow(St.Scores, static_cast<size_t>(TP ? TP->threads() : 1) * SlabFloats);
 
   float *X = St.X.data(), *Norm = St.Norm.data(), *QKV = St.QKV.data(),
         *AttnOut = St.AttnOut.data(), *Proj = St.Proj.data(),
@@ -889,8 +728,7 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
                   static_cast<size_t>(D) * sizeof(float));
     }
     auto SelfAttendRows = [&](int B, int E, int Chunk) {
-      float *CScores =
-          Scores + static_cast<size_t>(Chunk) * H * ScoreStride;
+      float *CScores = Scores + static_cast<size_t>(Chunk) * SlabFloats;
       for (int R = B; R < E; ++R) {
         const Transformer::DecodeRowPlan &Row =
             Rows[static_cast<size_t>(R)];
@@ -928,7 +766,7 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       X[I] += Proj[I];
 
     // Cross attention: the K/V caches are shared by every beam of one
-    // source; each row attends over its OWN source's cache (rows of
+    // source; each group of rows attends over its source's cache (rows of
     // different sources may share the batch).
     for (int R = 0; R < N; ++R)
       layerNormRow(X + static_cast<size_t>(R) * D, D,
@@ -940,25 +778,27 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
     else
       linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV,
                  TP);
-    auto CrossAttendRows = [&](int B, int E, int Chunk) {
-      float *CScores =
-          Scores + static_cast<size_t>(Chunk) * H * ScoreStride;
-      for (int R = B; R < E; ++R) {
+    // Work items are (group, head) pairs; each writes only its group's
+    // head slice of AttnOut.
+    auto CrossAttendGroups = [&](int B, int E, int Chunk) {
+      float *CScores = Scores + static_cast<size_t>(Chunk) * SlabFloats;
+      for (int I = B; I < E; ++I) {
+        int R0 = Groups[static_cast<size_t>(I / H)];
+        int R1 = Groups[static_cast<size_t>(I / H + 1)];
         const Transformer::EncoderCache &Enc =
-            *Rows[static_cast<size_t>(R)].Enc;
-        const float *CK = Enc.CrossK[L].data(), *CV = Enc.CrossV[L].data();
-        attendCachedDyn(
-            QKV + static_cast<size_t>(R) * D,
-            AttnOut + static_cast<size_t>(R) * D, Enc.TSrc, H, Dh, InvS,
-            CScores, ScoreStride,
-            [&](int Tt) { return CK + static_cast<size_t>(Tt) * D; },
-            [&](int Tt) { return CV + static_cast<size_t>(Tt) * D; });
+            *Rows[static_cast<size_t>(R0)].Enc;
+        crossAttendGroup(QKV + static_cast<size_t>(R0) * D,
+                         AttnOut + static_cast<size_t>(R0) * D, R1 - R0, D,
+                         Dh, I % H, Enc.CrossKT[L].data(),
+                         static_cast<size_t>(crossKStride(Enc.TSrc)),
+                         Enc.CrossV[L].data(), Enc.TSrc, InvS, CScores,
+                         static_cast<size_t>(ScoreStride));
       }
     };
     if (!TP)
-      CrossAttendRows(0, N, 0);
+      CrossAttendGroups(0, NumGroups * H, 0);
     else
-      TP->run(N, CrossAttendRows);
+      TP->run(NumGroups * H, CrossAttendGroups);
     if (I8)
       linearRowsI8(AttnOut, N, Consts.CrossWoQ[L], Lay.Cross.Bo.V.data(),
                    Proj, St.ActQ, TP);

@@ -359,7 +359,7 @@ Transformer::startDecode(const std::vector<int> &Src) const {
   DecodeState St;
   St.EncOut = Cache->EncOut;
   St.TSrc = Cache->TSrc;
-  St.CrossK = Cache->CrossK;
+  St.CrossKT = Cache->CrossKT;
   St.CrossV = Cache->CrossV;
   St.SelfK.resize(Dec.size());
   St.SelfV.resize(Dec.size());
@@ -427,16 +427,20 @@ std::vector<float> Transformer::stepDecode(DecodeState &St,
     layerNormRow(X.data(), Lay.LN2, Norm.data());
     linearRow(Norm.data(), Lay.Cross.Wq, Lay.Cross.Bq, Q.data());
     float InvS2 = 1.0f / std::sqrt(static_cast<float>(Dh));
+    size_t KStride = static_cast<size_t>(crossKStride(St.TSrc));
     for (int Hd = 0; Hd < H; ++Hd) {
       int Off = Hd * Dh;
       std::vector<float> Scores(static_cast<size_t>(St.TSrc));
       float MaxS = -1e30f;
       for (int Tt = 0; Tt < St.TSrc; ++Tt) {
-        const float *KRow =
-            &St.CrossK[L][static_cast<size_t>(Tt) * D + Off];
+        // Transposed keys: component Jj of position Tt sits at
+        // [(Off + Jj) * KStride + Tt].
+        const float *KCol = &St.CrossKT[L][static_cast<size_t>(Off) * KStride +
+                                           static_cast<size_t>(Tt)];
         float Dot = 0;
         for (int Jj = 0; Jj < Dh; ++Jj)
-          Dot += Q[static_cast<size_t>(Off + Jj)] * KRow[Jj];
+          Dot += Q[static_cast<size_t>(Off + Jj)] *
+                 KCol[static_cast<size_t>(Jj) * KStride];
         Scores[static_cast<size_t>(Tt)] = Dot * InvS2;
         MaxS = std::max(MaxS, Scores[static_cast<size_t>(Tt)]);
       }

@@ -35,6 +35,10 @@ namespace nn {
 class InferRuntime;
 class ParallelFor;
 
+/// Row stride of the transposed cross-K layout (EncoderCache::CrossKT):
+/// the source length rounded up to a whole 8-float vector.
+inline int crossKStride(int TSrc) { return (TSrc + 7) & ~7; }
+
 struct TransformerConfig {
   int Vocab = 512;
   int DModel = 64;
@@ -184,8 +188,11 @@ public:
   struct EncoderCache {
     std::vector<float> EncOut;              ///< [Tsrc, D].
     int TSrc = 0;
-    std::vector<std::vector<float>> CrossK; ///< Per layer, fixed [Tsrc,D].
-    std::vector<std::vector<float>> CrossV;
+    /// Per layer: cross-attention keys transposed per head,
+    /// [H][Dh][crossKStride(TSrc)] (so [D][TPad]), zero past TSrc. The
+    /// decoder scores 8 source positions per vector from this layout.
+    std::vector<std::vector<float>> CrossKT;
+    std::vector<std::vector<float>> CrossV; ///< Per layer, [Tsrc, D].
     /// Shared model-level constants (weight-versioned, not per-source).
     std::shared_ptr<const DecodeConstants> Consts;
 
@@ -194,7 +201,7 @@ public:
     /// byte accounting.
     size_t bytes() const {
       size_t B = sizeof(*this) + EncOut.capacity() * sizeof(float);
-      for (const std::vector<float> &K : CrossK)
+      for (const std::vector<float> &K : CrossKT)
         B += K.capacity() * sizeof(float);
       for (const std::vector<float> &V : CrossV)
         B += V.capacity() * sizeof(float);
@@ -252,8 +259,8 @@ public:
     int TSrc = 0;
     std::vector<std::vector<float>> SelfK; ///< Per decoder layer, growing.
     std::vector<std::vector<float>> SelfV;
-    std::vector<std::vector<float>> CrossK; ///< Per layer, fixed [Tsrc,D].
-    std::vector<std::vector<float>> CrossV;
+    std::vector<std::vector<float>> CrossKT; ///< EncoderCache::CrossKT.
+    std::vector<std::vector<float>> CrossV;  ///< Per layer, [Tsrc, D].
     int Len = 0; ///< Decoded positions so far.
   };
 
@@ -322,11 +329,14 @@ public:
     /// Anc[b*Cap + t]: the segment-local slot holding beam b's K/V row
     /// for position t.
     std::vector<uint16_t> Anc;
-    // Reused step scratch (sized at start).
+    // Reused step scratch (sized at start; Scores grows in the forward).
     std::vector<float> X, Norm, QKV, AttnOut, Proj, FF1, Scores;
     std::vector<uint16_t> AncScratch, RowSourceScratch;
     std::vector<std::shared_ptr<const EncoderCache>> RowEncScratch;
     std::vector<DecodeRowPlan> FwdRows; ///< Shared-forward descriptors.
+    /// First FwdRows index of each cross-attention group (adjacent rows
+    /// sharing an EncoderCache), then FwdRows.size().
+    std::vector<int> CrossGroups;
     // Speculative-plan scratch (grown on demand by stepDecodeSpec /
     // commitSpec; unused by plain decode).
     std::vector<int> SpecBase; ///< Per plan row: live-row ancestor.

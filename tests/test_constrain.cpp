@@ -18,6 +18,7 @@
 #include "cc/Parser.h"
 #include "cc/PrefixOracle.h"
 #include "dataset/Generator.h"
+#include "nn/BeamCore.h"
 #include "serve/Scheduler.h"
 #include "support/RNG.h"
 
@@ -25,7 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -377,9 +381,200 @@ TEST(PrefixOracle, GenerousDegradationOnDeepNesting) {
   EXPECT_TRUE(O.advance(S, ") ] } while"));
 }
 
+TEST(PrefixOracle, StateKeyCoversExactlyTheLiveFields) {
+  // The mask cache's key: equal for states whose live fields agree
+  // (whatever the cached terminal mask or the stale bytes past SP and
+  // BufLen hold), different as soon as any live field differs.
+  PrefixOracle O;
+  PrefixOracle::State S = O.start();
+  ASSERT_TRUE(O.advance(S, "int f(int a) { while (a) { return sizeo"));
+  ASSERT_GE(S.SP, 3);
+  ASSERT_LT(S.SP, PrefixOracle::MaxFrames);
+  ASSERT_GT(S.BufLen, 0);
+  ASSERT_LT(static_cast<size_t>(S.BufLen), sizeof(S.Buf));
+  std::string Key, Other;
+  PrefixOracle::stateKey(S, Key);
+  auto KeyOf = [&](const PrefixOracle::State &T) {
+    PrefixOracle::stateKey(T, Other);
+    return Other;
+  };
+
+  PrefixOracle::State Same = S;
+  O.terminalMask(Same); // Fills CachedMask / MaskValid.
+  Same.MaskValid ^= 1;
+  Same.CachedMask ^= 0x5a5a;
+  Same.Stack[Same.SP].Kind ^= 0x11;
+  Same.Stack[PrefixOracle::MaxFrames - 1].F1 ^= 0x22;
+  Same.Buf[Same.BufLen] ^= 0x33;
+  Same.Buf[sizeof(Same.Buf) - 1] ^= 0x44;
+  EXPECT_EQ(KeyOf(Same), Key) << "non-live bytes must not enter the key";
+
+  std::vector<std::pair<std::string, PrefixOracle::State>> Variants;
+  auto Vary = [&](const std::string &What,
+                  const std::function<void(PrefixOracle::State &)> &Fn) {
+    PrefixOracle::State T = S;
+    Fn(T);
+    Variants.push_back({What, T});
+  };
+  Vary("SP-1", [](PrefixOracle::State &T) { --T.SP; });
+  Vary("SP+1", [](PrefixOracle::State &T) { ++T.SP; });
+  for (int I = 0; I < S.SP; ++I) {
+    std::string F = "Stack[" + std::to_string(I) + "].";
+    Vary(F + "Kind", [I](PrefixOracle::State &T) { T.Stack[I].Kind ^= 1; });
+    Vary(F + "St", [I](PrefixOracle::State &T) { T.Stack[I].St ^= 1; });
+    Vary(F + "F0", [I](PrefixOracle::State &T) { T.Stack[I].F0 ^= 1; });
+    Vary(F + "F1", [I](PrefixOracle::State &T) { T.Stack[I].F1 ^= 1; });
+  }
+  Vary("Dead", [](PrefixOracle::State &T) { T.Dead ^= 1; });
+  Vary("Generous", [](PrefixOracle::State &T) { T.Generous ^= 1; });
+  Vary("Lex", [](PrefixOracle::State &T) { T.Lex ^= 1; });
+  Vary("NumSt", [](PrefixOracle::State &T) { T.NumSt ^= 1; });
+  Vary("WordViaIdent", [](PrefixOracle::State &T) { T.WordViaIdent ^= 1; });
+  Vary("BufLen-1", [](PrefixOracle::State &T) { --T.BufLen; });
+  Vary("BufLen+1", [](PrefixOracle::State &T) { ++T.BufLen; });
+  for (int I = 0; I < S.BufLen; ++I)
+    Vary("Buf[" + std::to_string(I) + "]",
+         [I](PrefixOracle::State &T) { T.Buf[I] ^= 1; });
+  std::set<std::string> Keys{Key};
+  for (const auto &V : Variants) {
+    EXPECT_NE(KeyOf(V.second), Key) << V.first;
+    Keys.insert(KeyOf(V.second));
+  }
+  EXPECT_EQ(Keys.size(), Variants.size() + 1)
+      << "every variant gets its own key";
+}
+
 //===----------------------------------------------------------------------===//
 // Decode integration: --constrain wiring through beam search and serving
 //===----------------------------------------------------------------------===//
+
+TEST(Constrain, AllowedLogSoftmaxMatchesMaterializedMask) {
+  // Constrained selection takes the log-softmax and top-k over the
+  // allowed ids only. Both must equal logSoftmax + topK over the row with
+  // masked entries set to -1e30f, bit for bit (top-k: the allowed members
+  // of the full top-k, in order), at every mask density. A row whose
+  // allowed logits do not all rank above the masked ones must be refused.
+  const int V = 97, K = 5;
+  SplitMix64 Rng(7);
+  std::vector<float> Logits(V), Masked(V), Want, Got(V);
+  std::vector<uint8_t> Allowed(V);
+  std::vector<uint16_t> Ids;
+  std::vector<std::pair<float, int>> Heap;
+  std::vector<int> WantTop, GotTop;
+  for (int Density : {1, 3, 50, 97}) {
+    for (int Trial = 0; Trial < 20; ++Trial) {
+      Ids.clear();
+      for (int I = 0; I < V; ++I) {
+        Logits[I] = static_cast<float>(Rng.normal()) * 4.0f;
+        Allowed[I] = Density == 1 ? I == Trial % V
+                                  : static_cast<int>(Rng.below(V)) < Density;
+        if (Allowed[I])
+          Ids.push_back(static_cast<uint16_t>(I));
+        Masked[I] = Allowed[I] ? Logits[I] : -1e30f;
+      }
+      if (Ids.empty())
+        continue;
+      nn::beamcore::logSoftmax(Masked.data(), V, Want);
+      ASSERT_TRUE(
+          nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got));
+      for (uint16_t I : Ids)
+        ASSERT_EQ(0, std::memcmp(&Got[I], &Want[I], sizeof(float)))
+            << "density " << Density << " trial " << Trial << " id " << I;
+      nn::beamcore::topK(Want, K, Heap, WantTop);
+      WantTop.erase(std::remove_if(WantTop.begin(), WantTop.end(),
+                                   [&](int Tok) { return !Allowed[Tok]; }),
+                    WantTop.end());
+      nn::beamcore::topKOf(
+          Got, static_cast<int>(Ids.size()),
+          [&](int C) { return static_cast<int>(Ids[C]); }, K, Heap, GotTop);
+      EXPECT_EQ(GotTop, WantTop)
+          << "density " << Density << " trial " << Trial;
+    }
+  }
+  Ids = {3, 8};
+  Logits[3] = 1.0f;
+  Logits[8] = -2e30f; // Allowed, yet ranks below the masked entries.
+  EXPECT_FALSE(nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got));
+  Logits[3] = -1e30f; // No allowed logit above the mask value.
+  EXPECT_FALSE(nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got));
+}
+
+TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
+  // A constrained decode reuses each oracle state's mask for the rest of
+  // the decode. Drive beamSearch's own loop over a fixed decode set and,
+  // at every beam step, check the mask the step used against a direct
+  // allowedTokens call; the constraint counters must count exactly what
+  // the direct calls count, and the hypotheses must be beamSearch's.
+  testutil::DecompilerFixture F(4);
+  ASSERT_GE(F.Tasks.size(), 2u) << "demo corpus unexpectedly rejected";
+  const nn::Transformer &Model = F.Slade->model();
+  const tok::VocabConstraint &VC = F.Slade->vocabConstraint();
+  const int V = Model.config().Vocab;
+
+  size_t BeamSteps = 0, DistinctStates = 0;
+  for (const core::EvalTask &T : F.Tasks) {
+    nn::ConstraintStats Stats;
+    nn::BeamConfig BC;
+    BC.BeamSize = 5;
+    BC.MaxLen = 48;
+    BC.Constraint = &VC;
+    BC.Stats = &Stats;
+    auto Enc =
+        F.Slade->encodeCached(F.Slade->tokenizer().encode(T.Prog.TargetAsm));
+
+    nn::Transformer::BatchDecodeState St =
+        Model.startDecodeBatch(Enc, BC.BeamSize, BC.MaxLen + 1);
+    std::vector<float> Logits =
+        Model.stepDecodeBatch(St, {nn::Transformer::BosId});
+    std::vector<nn::beamcore::BeamMeta> Live(1);
+    std::vector<nn::Hypothesis> Done;
+    nn::beamcore::SelectScratch Scratch;
+    nn::beamcore::ConstraintCtx CC;
+    CC.init(BC);
+    uint64_t DirectMasked = 0, DirectKilled = 0;
+    std::vector<uint8_t> Direct;
+    for (int It = 0; It < BC.MaxLen && !Live.empty(); ++It) {
+      std::vector<cc::PrefixOracle::State> Before = CC.States;
+      nn::beamcore::SelectResult R = nn::beamcore::selectBeamStep(
+          Live, Done,
+          [&](size_t BI) { return Logits.data() + BI * V; }, V, BC,
+          Scratch, &CC);
+      for (const cc::PrefixOracle::State &S : Before) {
+        int N = VC.allowedTokens(S, Direct);
+        const nn::beamcore::ConstraintCtx::Mask &Used = CC.mask(S);
+        ASSERT_EQ(Used.Allowed, Direct) << T.Name << " step " << It;
+        ASSERT_EQ(Used.Masked, N) << T.Name << " step " << It;
+        DirectMasked += static_cast<uint64_t>(N);
+        DirectKilled += N >= V;
+        ++BeamSteps;
+      }
+      if (R.StopNow)
+        break;
+      if (!Live.empty()) {
+        Model.reorderBeams(St, R.SrcIdx);
+        Logits = Model.stepDecodeBatch(St, R.Tokens);
+      }
+    }
+    DistinctStates += CC.Masks->ByState.size();
+    EXPECT_EQ(Stats.TokensMasked, DirectMasked) << T.Name;
+    EXPECT_EQ(Stats.BeamsKilled, DirectKilled) << T.Name;
+    std::vector<nn::Hypothesis> Hyps = nn::beamcore::finalizeBeams(
+        std::move(Live), std::move(Done), BC, &CC);
+
+    nn::ConstraintStats SearchStats;
+    BC.Stats = &SearchStats;
+    std::vector<nn::Hypothesis> Search = nn::beamSearch(Model, Enc, BC);
+    ASSERT_EQ(Hyps.size(), Search.size()) << T.Name;
+    for (size_t H = 0; H < Hyps.size(); ++H) {
+      EXPECT_EQ(Hyps[H].Tokens, Search[H].Tokens) << T.Name;
+      EXPECT_EQ(Hyps[H].Score, Search[H].Score) << T.Name;
+    }
+    EXPECT_EQ(SearchStats.TokensMasked, DirectMasked) << T.Name;
+    EXPECT_EQ(SearchStats.BeamsKilled, DirectKilled) << T.Name;
+  }
+  EXPECT_GT(BeamSteps, 100u);
+  EXPECT_LT(DistinctStates, BeamSteps) << "no beam step reused a mask";
+}
 
 TEST(Constrain, OffModeByteIdenticalAcrossDriversAndShards) {
   // The regression pin for this PR: with the constraint off (the default,

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "nn/Attention.h"
 #include "nn/Beam.h"
 #include "nn/DecodeLRU.h"
 #include "nn/EncoderLRU.h"
@@ -621,9 +622,9 @@ void expectCachesBitExact(const Transformer::EncoderCache &Fast,
   for (size_t I = 0; I < Fast.EncOut.size(); ++I)
     ASSERT_EQ(Fast.EncOut[I], Ref.EncOut[I]) << Tag << " EncOut[" << I
                                              << "]";
-  ASSERT_EQ(Fast.CrossK.size(), Ref.CrossK.size()) << Tag;
-  for (size_t L = 0; L < Fast.CrossK.size(); ++L) {
-    EXPECT_EQ(Fast.CrossK[L], Ref.CrossK[L]) << Tag << " CrossK layer "
+  ASSERT_EQ(Fast.CrossKT.size(), Ref.CrossKT.size()) << Tag;
+  for (size_t L = 0; L < Fast.CrossKT.size(); ++L) {
+    EXPECT_EQ(Fast.CrossKT[L], Ref.CrossKT[L]) << Tag << " CrossKT layer "
                                              << L;
     EXPECT_EQ(Fast.CrossV[L], Ref.CrossV[L]) << Tag << " CrossV layer "
                                              << L;
@@ -741,10 +742,99 @@ TEST(InferRuntime, EncodeSourceBitExactAcrossTickThreads) {
   }
 }
 
+TEST(InferRuntime, CrossGroupKernelBitExactVsPerRowKernel) {
+  // The AVX2 group kernel over transposed keys must give every row the
+  // bits the per-row kernel (still used by self-attention) gives it over
+  // row-major keys: outputs, and the softmax numerators it leaves in the
+  // caller's score rows (one row per group member, in the slab passed
+  // in). Head widths 8..32, source lengths around the 8-wide padding,
+  // and group sizes on both sides of the value pass's row blocks.
+#ifndef SLADE_SIMD_EXP
+  GTEST_SKIP() << "the bit-exact kernel pair is the AVX2+FMA build's";
+#endif
+  const int H = 2;
+  for (int Dh : {8, 16, 24, 32}) {
+    const int D = H * Dh;
+    const float InvS = 1.0f / std::sqrt(static_cast<float>(Dh));
+    for (int T : {1, 7, 8, 9, 246}) {
+      size_t KStride = static_cast<size_t>(crossKStride(T));
+      std::vector<float> K = randomVec(static_cast<size_t>(T) * D, 11 + T);
+      std::vector<float> V = randomVec(static_cast<size_t>(T) * D, 13 + T);
+      std::vector<float> KT(static_cast<size_t>(D) * KStride, 0.0f);
+      for (int Tt = 0; Tt < T; ++Tt)
+        for (int J = 0; J < D; ++J)
+          KT[static_cast<size_t>(J) * KStride + Tt] =
+              K[static_cast<size_t>(Tt) * D + J];
+      for (int G : {1, 2, 3, 4, 5, 9}) {
+        std::string Tag = "Dh=" + std::to_string(Dh) +
+                          " T=" + std::to_string(T) +
+                          " G=" + std::to_string(G);
+        std::vector<float> Q =
+            randomVec(static_cast<size_t>(G) * D, 17 + G * 31 + T);
+        std::vector<float> Want(static_cast<size_t>(G) * D);
+        std::vector<float> WantScores(static_cast<size_t>(G) * H * T);
+        for (int Gi = 0; Gi < G; ++Gi)
+          attendCachedDyn(
+              Q.data() + static_cast<size_t>(Gi) * D,
+              Want.data() + static_cast<size_t>(Gi) * D, T, H, Dh, InvS,
+              WantScores.data() + static_cast<size_t>(Gi) * H * T, T,
+              [&](int Tt) { return K.data() + static_cast<size_t>(Tt) * D; },
+              [&](int Tt) { return V.data() + static_cast<size_t>(Tt) * D; });
+        std::vector<float> Got(static_cast<size_t>(G) * D, -7.0f);
+        std::vector<float> Slab(static_cast<size_t>(G) * KStride);
+        for (int Hd = 0; Hd < H; ++Hd) {
+          crossAttendGroup(Q.data(), Got.data(), G, D, Dh, Hd, KT.data(),
+                           KStride, V.data(), T, InvS, Slab.data(), KStride);
+          for (int Gi = 0; Gi < G; ++Gi)
+            ASSERT_EQ(0, std::memcmp(
+                             Slab.data() + static_cast<size_t>(Gi) * KStride,
+                             WantScores.data() +
+                                 (static_cast<size_t>(Gi) * H + Hd) * T,
+                             static_cast<size_t>(T) * sizeof(float)))
+                << Tag << " head " << Hd << " row " << Gi << " scores";
+        }
+        ASSERT_EQ(0, std::memcmp(Got.data(), Want.data(),
+                                 Want.size() * sizeof(float)))
+            << Tag << " outputs";
+      }
+    }
+  }
+}
+
+TEST(InferRuntime, CrossKeysAreTransposedPaddedAndCounted) {
+  // Cross-K is stored once per layer as [D][crossKStride(T)], zero past
+  // T, and EncoderCache::bytes() charges the padded size (the EncoderLRU
+  // budget sees what is really held).
+  TransformerConfig Cfg = tinyConfig();
+  Transformer Model(Cfg);
+  for (int T : {1, 7, 8, 9}) {
+    std::vector<int> Src;
+    for (int I = 0; I < T; ++I)
+      Src.push_back(3 + (I * 5 + T) % (Cfg.Vocab - 3));
+    auto Enc = Model.encodeSource(Src);
+    size_t KStride = static_cast<size_t>(crossKStride(T));
+    EXPECT_EQ(KStride % 8, 0u);
+    size_t Want = sizeof(Transformer::EncoderCache) +
+                  Enc->EncOut.capacity() * sizeof(float);
+    ASSERT_EQ(Enc->CrossKT.size(), static_cast<size_t>(Cfg.DecLayers));
+    for (size_t L = 0; L < Enc->CrossKT.size(); ++L) {
+      const std::vector<float> &KT = Enc->CrossKT[L];
+      ASSERT_EQ(KT.size(), static_cast<size_t>(Cfg.DModel) * KStride)
+          << "T=" << T;
+      for (size_t J = 0; J < static_cast<size_t>(Cfg.DModel); ++J)
+        for (size_t Tt = static_cast<size_t>(T); Tt < KStride; ++Tt)
+          EXPECT_EQ(KT[J * KStride + Tt], 0.0f) << "T=" << T;
+      Want += (KT.capacity() + Enc->CrossV[L].capacity()) * sizeof(float);
+    }
+    EXPECT_EQ(Enc->bytes(), Want) << "T=" << T;
+  }
+}
+
 TEST(Transformer, BatchedStepBitExactAcrossTickThreads) {
   // Five beams stepped through the batched decoder with the per-shard
   // pool installed (BatchDecodeState::TP): logits must be byte-identical
   // to the sequential path at every thread count and every step.
+  // Second half: the same across cross-attention group layouts.
   TransformerConfig Cfg = tinyConfig();
   Transformer Model(Cfg);
   std::vector<int> Src = {7, 3, 9, 4, 5, 8, 6};
@@ -776,6 +866,63 @@ TEST(Transformer, BatchedStepBitExactAcrossTickThreads) {
           << "threads=" << Threads << " step=" << S;
     }
     EXPECT_GT(TP.regions(), 0u) << "the pool must actually have fanned out";
+  }
+
+  // Cross-attention groups (adjacent rows sharing an EncoderCache): a
+  // row's logits must not depend on its group. Rows of 1..5 beams per
+  // source, with two segments of source A laid out contiguous (one group
+  // of up to 10 rows) and interleaved with source B, at every tick-thread
+  // count, must equal a one-row decode of the same token history.
+  auto EncA = Model.encodeSource({7, 3, 9, 4, 5, 8, 6, 2, 9}); // T = 9.
+  auto EncB = Model.encodeSource({4, 5, 6, 7, 8, 9, 10});      // T = 7.
+  auto TokenOf = [&](int Seg, int Beam, int Step) {
+    return 3 + (Seg * 7 + Beam * 3 + Step * 5) % (Cfg.Vocab - 3);
+  };
+  using Layout =
+      std::vector<std::shared_ptr<const Transformer::EncoderCache>>;
+  const Layout Layouts[] = {{EncA, EncA, EncB}, {EncA, EncB, EncA}};
+  for (int K = 1; K <= 5; ++K) {
+    for (const Layout &Encs : Layouts) {
+      // Reference: every (segment, beam) decoded alone, one row.
+      std::vector<std::vector<std::vector<float>>> Ref(Encs.size() * K);
+      for (size_t S = 0; S < Encs.size(); ++S)
+        for (int R = 0; R < K; ++R) {
+          Transformer::BatchDecodeState St =
+              Model.startDecodeBatch(Encs[S], 1, 16);
+          Model.stepDecodeBatch(St, {Transformer::BosId});
+          for (int Step = 0; Step < 4; ++Step)
+            Ref[S * K + R].push_back(Model.stepDecodeBatch(
+                St, {TokenOf(static_cast<int>(S), R, Step)}));
+        }
+      for (int Threads : {1, 2, 4}) {
+        ParallelFor TP(Threads);
+        Transformer::BatchDecodeState St =
+            Model.startDecodeBatchMulti(Encs, K, 16);
+        St.TP = &TP;
+        Model.stepDecodeBatch(
+            St, std::vector<int>(Encs.size(), Transformer::BosId));
+        std::vector<int> Fan;
+        for (size_t S = 0; S < Encs.size(); ++S)
+          Fan.insert(Fan.end(), static_cast<size_t>(K), static_cast<int>(S));
+        Model.reorderBeams(St, Fan);
+        for (int Step = 0; Step < 4; ++Step) {
+          std::vector<int> Feed;
+          for (size_t S = 0; S < Encs.size(); ++S)
+            for (int R = 0; R < K; ++R)
+              Feed.push_back(TokenOf(static_cast<int>(S), R, Step));
+          std::vector<float> L = Model.stepDecodeBatch(St, Feed);
+          for (size_t Row = 0; Row < Feed.size(); ++Row)
+            ASSERT_EQ(0, std::memcmp(L.data() + Row * Cfg.Vocab,
+                                     Ref[Row][static_cast<size_t>(Step)]
+                                         .data(),
+                                     Cfg.Vocab * sizeof(float)))
+                << "K=" << K << " layout "
+                << (Encs[1] == EncA ? "contiguous" : "interleaved")
+                << " threads=" << Threads << " step=" << Step
+                << " row=" << Row;
+        }
+      }
+    }
   }
 }
 

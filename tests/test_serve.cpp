@@ -147,6 +147,9 @@ TEST(Scheduler, FusedAndUnfusedDecodeAgree) {
   Fused.BeamSize = 2; // Narrow beams: the fusable regime.
   Fused.MaxLen = 40;
   Fused.DecodeBatch = 4; // Force cross-request fusion.
+  // One shard: with one shard per core, a multi-core host would spread
+  // the jobs over shards and fuse only when two happen to overlap on one.
+  Fused.Shards = 1;
   serve::Scheduler SFused(*F.Slade, Fused);
   auto RF = SFused.translate(Jobs);
   EXPECT_GE(SFused.metrics().DecodesFused, 2u);
