@@ -22,7 +22,6 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "serve/Engine.h"
-#include "serve/Scheduler.h"
 #include "tok/VocabConstraint.h"
 #include "vm/Interp.h"
 
@@ -594,11 +593,7 @@ void BM_BeamSearchSequential(benchmark::State &State) {
 }
 BENCHMARK(BM_BeamSearchSequential)->Unit(benchmark::kMillisecond);
 
-/// Cross-request fused decode vs. a per-source loop over the same eight
-/// sources. Args: (BeamSize, TSrc). Fusion amortizes per-step weight
-/// streaming but adds each source's cross-K/V working set to the cache
-/// footprint — it wins for narrow beams over short sources and loses
-/// otherwise, which is what the serve scheduler's AUTO policy encodes.
+/// Eight deterministic synthetic sources of \p TSrc tokens each.
 std::vector<std::vector<int>> multiBenchSources(int TSrc) {
   std::vector<std::vector<int>> Srcs;
   for (int S = 0; S < 8; ++S) {
@@ -609,29 +604,6 @@ std::vector<std::vector<int>> multiBenchSources(int TSrc) {
   }
   return Srcs;
 }
-
-void BM_BeamSearchMultiFused(benchmark::State &State) {
-  nn::TransformerConfig MC;
-  MC.Vocab = 512;
-  nn::Transformer Model(MC);
-  auto Srcs = multiBenchSources(static_cast<int>(State.range(1)));
-  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
-  for (const auto &Src : Srcs)
-    Encs.push_back(Model.encodeSource(Src));
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  for (auto _ : State) {
-    auto Hyps = nn::beamSearchMulti(Model, Encs, BC);
-    benchmark::DoNotOptimize(Hyps);
-  }
-}
-BENCHMARK(BM_BeamSearchMultiFused)
-    ->Args({1, 8})
-    ->Args({1, 200})
-    ->Args({5, 8})
-    ->Args({5, 200})
-    ->Unit(benchmark::kMillisecond);
 
 /// Speculative vs. plain beam decode over one pre-encoded source.
 /// Args: (BeamSize, DraftGamma); gamma 0 is the plain baseline the
@@ -752,31 +724,6 @@ BENCHMARK(BM_SpecDecodeGated)
     ->Arg(5)
     ->Unit(benchmark::kMillisecond);
 
-void BM_BeamSearchMultiLoop(benchmark::State &State) {
-  nn::TransformerConfig MC;
-  MC.Vocab = 512;
-  nn::Transformer Model(MC);
-  auto Srcs = multiBenchSources(static_cast<int>(State.range(1)));
-  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
-  for (const auto &Src : Srcs)
-    Encs.push_back(Model.encodeSource(Src));
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  for (auto _ : State) {
-    for (const auto &Enc : Encs) {
-      auto Hyps = nn::beamSearch(Model, Enc, BC);
-      benchmark::DoNotOptimize(Hyps);
-    }
-  }
-}
-BENCHMARK(BM_BeamSearchMultiLoop)
-    ->Args({1, 8})
-    ->Args({1, 200})
-    ->Args({5, 8})
-    ->Args({5, 200})
-    ->Unit(benchmark::kMillisecond);
-
 //===----------------------------------------------------------------------===//
 // Streaming serve engine (continuous batching)
 //===----------------------------------------------------------------------===//
@@ -893,30 +840,6 @@ void BM_EngineStreamPoissonTraced(benchmark::State &State) {
                           static_cast<int64_t>(B.Asm.size()));
 }
 BENCHMARK(BM_EngineStreamPoissonTraced)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// The batch-scoped baseline over the same corpus (everything submitted
-/// as one Scheduler run, no arrival process): the pre-engine serving
-/// path's throughput ceiling.
-void BM_SchedulerBatchTranslate(benchmark::State &State) {
-  const StreamBench &B = streamBench();
-  serve::ServeOptions SO;
-  SO.BeamSize = 2;
-  SO.MaxLen = 48;
-  SO.FusionProbeSteps = 4;
-  serve::Scheduler Sched(*B.Slade, SO);
-  std::vector<serve::TranslateJob> Jobs;
-  for (const std::string &A : B.Asm)
-    Jobs.push_back({"f", A});
-  for (auto _ : State) {
-    auto Out = Sched.translate(Jobs);
-    benchmark::DoNotOptimize(Out);
-  }
-  State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(Jobs.size()));
-}
-BENCHMARK(BM_SchedulerBatchTranslate)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

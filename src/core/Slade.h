@@ -173,8 +173,9 @@ public:
   const tok::VocabConstraint &vocabConstraint() const;
 
   /// Encodes \p Src through the shared encoder LRU (hit = the whole
-  /// encoder pass is skipped). Thread-safe; used by decompile/translate
-  /// and by the serve scheduler's batched decode. \p TP (optional)
+  /// encoder pass is skipped). Thread-safe; used by decompile/translate,
+  /// the serve engine's dispatcher, and slade-serve's up-front batch
+  /// encode. \p TP (optional)
   /// fans the miss-path encoder rows out over an intra-tick worker pool;
   /// the cached bytes are identical either way.
   std::shared_ptr<const nn::Transformer::EncoderCache>

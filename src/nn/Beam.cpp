@@ -110,73 +110,45 @@ struct SequentialStepper {
   }
 };
 
-/// Speculative multi-source driver: the same fused state and per-source
-/// search state as beamSearchMulti, but every decode step runs through
-/// SpecSession propose/verify rounds. Byte-identical to the plain
-/// drivers: every committed selection is a selectBeamStep over exact
-/// full-model logits (a round with gamma 0 IS a plain step), the draft
-/// only changes how many exact steps one batched call yields.
-std::vector<std::vector<Hypothesis>> beamSearchSpecMulti(
-    const Transformer &Model,
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Sources,
-    const BeamConfig &Cfg) {
-  size_t N = Sources.size();
-  std::vector<std::vector<Hypothesis>> Out(N);
-  if (N == 0)
-    return Out;
-
+/// Speculative search loop: the same batched state and search state as
+/// beamSearchImpl, but every decode step runs through SpecSession
+/// propose/verify rounds. Byte-identical to the plain loop: every
+/// committed selection is a selectBeamStep over exact full-model logits
+/// (a round with gamma 0 IS a plain step), the draft only changes how
+/// many exact steps one batched call yields.
+std::vector<Hypothesis>
+beamSearchSpec(const Transformer &Model,
+               std::shared_ptr<const Transformer::EncoderCache> Enc,
+               const BeamConfig &Cfg) {
   Transformer::BatchDecodeState St =
-      Model.startDecodeBatchMulti(Sources, Cfg.BeamSize, Cfg.MaxLen + 1);
+      Model.startDecodeBatch(Enc, Cfg.BeamSize, Cfg.MaxLen + 1);
   SpecSession Sess(Model, *Cfg.Draft);
-  Sess.initBatch(Sources, Cfg.BeamSize, Cfg.MaxLen + 1);
+  Sess.initBatch({std::move(Enc)}, Cfg.BeamSize, Cfg.MaxLen + 1);
 
-  struct JobSearch {
-    std::vector<BeamMeta> Live;
-    std::vector<Hypothesis> Done;
-    ConstraintCtx CC;
-    SpecSession::Job SJ;
-    bool Active = true;
-  };
-  std::vector<JobSearch> Jobs(N);
-  for (size_t J = 0; J < N; ++J) {
-    JobSearch &JS = Jobs[J];
-    JS.Live.resize(1); // The BOS hypothesis; its feed is the first round's
-                       // pending selection (SJ's default {0} -> {BOS}).
-    JS.CC.init(Cfg);
-    JS.SJ.Seg = static_cast<int>(J);
-    JS.SJ.Live = &JS.Live;
-    JS.SJ.Done = &JS.Done;
-    JS.SJ.CC = &JS.CC;
-    JS.SJ.Gamma = Cfg.DraftGamma;
-    JS.Active = Cfg.MaxLen > 0; // Zero budget decodes nothing, as plain.
-  }
+  // The BOS hypothesis; its feed is the first round's pending selection
+  // (SJ's default {0} -> {BOS}).
+  std::vector<BeamMeta> Live(1);
+  std::vector<Hypothesis> Done;
+  ConstraintCtx CC;
+  CC.init(Cfg);
+  SpecSession::Job SJ;
+  SJ.Live = &Live;
+  SJ.Done = &Done;
+  SJ.CC = &CC;
+  SJ.Gamma = Cfg.DraftGamma;
+  std::vector<SpecSession::Job *> Jobs{&SJ};
 
   SpecStats Stats;
-  std::vector<SpecSession::Job *> LiveJobs;
-  for (;;) {
-    LiveJobs.clear();
-    for (JobSearch &JS : Jobs)
-      if (JS.Active)
-        LiveJobs.push_back(&JS.SJ);
-    if (LiveJobs.empty())
-      break;
-    Sess.runRound(St, LiveJobs, Cfg, Stats);
-    for (JobSearch &JS : Jobs)
-      if (JS.Active && JS.SJ.Finished)
-        JS.Active = false;
-  }
+  // Zero budget decodes nothing, as plain.
+  while (Cfg.MaxLen > 0 && !SJ.Finished)
+    Sess.runRound(St, Jobs, Cfg, Stats);
   if (Cfg.SpecTelemetry) {
     Cfg.SpecTelemetry->Proposed += Stats.Proposed;
     Cfg.SpecTelemetry->Accepted += Stats.Accepted;
     Cfg.SpecTelemetry->Rounds += Stats.Rounds;
     Cfg.SpecTelemetry->DraftSeconds += Stats.DraftSeconds;
   }
-
-  for (size_t J = 0; J < N; ++J)
-    Out[J] = finalizeBeams(std::move(Jobs[J].Live), std::move(Jobs[J].Done),
-                           Cfg, &Jobs[J].CC);
-  return Out;
+  return finalizeBeams(std::move(Live), std::move(Done), Cfg, &CC);
 }
 
 bool speculative(const BeamConfig &Cfg) {
@@ -199,83 +171,9 @@ slade::nn::beamSearch(const Transformer &Model,
                       std::shared_ptr<const Transformer::EncoderCache> Enc,
                       const BeamConfig &Cfg) {
   if (speculative(Cfg))
-    return beamSearchSpecMulti(Model, {std::move(Enc)}, Cfg)[0];
+    return beamSearchSpec(Model, std::move(Enc), Cfg);
   BatchedStepper Step(Model, std::move(Enc), Cfg);
   return beamSearchImpl(Step, Cfg);
-}
-
-std::vector<std::vector<Hypothesis>> slade::nn::beamSearchMulti(
-    const Transformer &Model,
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Sources,
-    const BeamConfig &Cfg) {
-  if (speculative(Cfg))
-    return beamSearchSpecMulti(Model, Sources, Cfg);
-  size_t N = Sources.size();
-  std::vector<std::vector<Hypothesis>> Out(N);
-  if (N == 0)
-    return Out;
-
-  // One fused state: row i starts as source i's BOS beam; each source may
-  // grow to BeamSize rows. The per-source search below makes exactly the
-  // decisions beamSearchImpl would make for that source alone — per-row
-  // step results are independent of the other rows in the batch, and the
-  // selection logic is shared — so the outputs are byte-identical to N
-  // independent beamSearch calls.
-  Transformer::BatchDecodeState St =
-      Model.startDecodeBatchMulti(Sources, Cfg.BeamSize, Cfg.MaxLen + 1);
-  std::vector<float> Logits = Model.stepDecodeBatch(
-      St, std::vector<int>(N, Transformer::BosId));
-  int Vocab = Model.config().Vocab;
-
-  struct JobSearch {
-    std::vector<BeamMeta> Live;
-    std::vector<Hypothesis> Done;
-    ConstraintCtx CC;
-    bool Active = true;
-  };
-  std::vector<JobSearch> Jobs(N);
-  for (JobSearch &J : Jobs) {
-    J.Live.resize(1);
-    J.CC.init(Cfg);
-  }
-
-  SelectScratch S;
-  std::vector<int> SrcIdx, Tokens; // Global (state-row) survivor indices.
-  for (int It = 0; It < Cfg.MaxLen; ++It) {
-    SrcIdx.clear();
-    Tokens.clear();
-    int RowBase = 0; // This source's first row in the current batch.
-    for (JobSearch &Job : Jobs) {
-      if (!Job.Active)
-        continue;
-      int Rows = static_cast<int>(Job.Live.size());
-      SelectResult R = selectBeamStep(
-          Job.Live, Job.Done,
-          [&](size_t BI) {
-            return Logits.data() +
-                   (static_cast<size_t>(RowBase) + BI) * Vocab;
-          },
-          Vocab, Cfg, S, &Job.CC);
-      if (R.StopNow || Job.Live.empty()) {
-        Job.Active = false; // Rows drop out of the batch at the reorder.
-      } else {
-        for (int Idx : R.SrcIdx)
-          SrcIdx.push_back(RowBase + Idx);
-        Tokens.insert(Tokens.end(), R.Tokens.begin(), R.Tokens.end());
-      }
-      RowBase += Rows;
-    }
-    if (SrcIdx.empty())
-      break; // Every source finished.
-    Model.reorderBeams(St, SrcIdx);
-    Logits = Model.stepDecodeBatch(St, Tokens);
-  }
-
-  for (size_t J = 0; J < N; ++J)
-    Out[J] = finalizeBeams(std::move(Jobs[J].Live),
-                           std::move(Jobs[J].Done), Cfg, &Jobs[J].CC);
-  return Out;
 }
 
 std::vector<Hypothesis>

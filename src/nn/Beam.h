@@ -11,7 +11,8 @@
 /// by index-gather). beamSearchSequential is the retained one-step-per-beam
 /// reference path: it runs the same search algorithm over per-beam
 /// DecodeStates that are deep-copied on survivor selection, and exists for
-/// equivalence tests and as the benchmark baseline.
+/// equivalence tests and as the benchmark baseline. Decoding many sources
+/// in one fused batch is the serve engine's job (serve/Engine.h).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_BEAM_H
@@ -102,20 +103,6 @@ std::vector<Hypothesis>
 beamSearch(const Transformer &Model,
            std::shared_ptr<const Transformer::EncoderCache> Enc,
            const BeamConfig &Cfg);
-
-/// Cross-request batched beam search: decodes ALL sources in one fused
-/// batched session — every decode step runs the union of the sources'
-/// live beams through the model as a single batch, so per-step GEMMs
-/// amortize across requests (the serving scheduler's throughput lever on
-/// one core). Per-source results are byte-identical to running beamSearch
-/// on each source alone: per-row step results do not depend on which
-/// other rows share the batch, and the per-source selection logic is the
-/// same code. Sources finishing early drop out of the batch.
-std::vector<std::vector<Hypothesis>> beamSearchMulti(
-    const Transformer &Model,
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Sources,
-    const BeamConfig &Cfg);
 
 /// Sequential reference implementation (per-beam states, full-state copy
 /// on survivor selection). Same search algorithm and tie-breaking as

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The per-source beam-search bookkeeping shared by every decode driver:
-/// the single-source loop and cross-request multi driver in Beam.cpp, and
-/// the continuous-batching serve engine (serve/Engine.cpp). Keeping the
+/// the single-source loops in Beam.cpp (plain and speculative) and the
+/// continuous-batching serve engine (serve/Engine.cpp). Keeping the
 /// log-softmax / top-k / candidate-ordering / retirement logic in ONE
 /// place is what makes the drivers byte-identical per source: they can
 /// only differ in how rows are batched, never in which hypotheses
@@ -207,8 +207,8 @@ struct ConstraintCtx {
 /// live beam, deterministic candidate ordering (score desc, then beam,
 /// then token — ties never diverge between decode paths), EOS/PAD
 /// candidates retire into \p Done, survivors replace \p Live. Shared by
-/// the single-source search loop, the cross-request multi driver, and
-/// the serve engine, so their per-source decisions are the same code.
+/// the single-source search loop and the serve engine, so their
+/// per-source decisions are the same code.
 template <typename LogitsOf>
 SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
                             std::vector<Hypothesis> &Done,

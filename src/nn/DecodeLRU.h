@@ -12,8 +12,8 @@
 /// duplicate-heavy streams whose repeats never overlap in time. The
 /// engine's single-flight only attaches a request to a source that is
 /// live RIGHT NOW; a repeat arriving after the original retired used to
-/// re-decode from scratch (the batch Scheduler's corpus-wide dedup won
-/// that regime by ~10% p95 — bench/README.md). With this cache the
+/// re-decode from scratch (a batch front's corpus-wide dedup won that
+/// regime by ~10% p95 — bench/README.md). With this cache the
 /// streaming engine serves non-overlapping repeats from memory.
 ///
 /// Correctness: beam decode is deterministic, so a cached result is

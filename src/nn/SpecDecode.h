@@ -1,9 +1,9 @@
 //===- SpecDecode.h - speculative propose/verify decode rounds --*- C++ -*-===//
 ///
 /// \file
-/// The speculative shallow-deep decode loop shared by every decode
-/// driver (beamSearch, beamSearchMulti, and the serve engine's
-/// continuous batch). One ROUND replaces one-or-more plain beam steps:
+/// The speculative shallow-deep decode loop shared by solo beamSearch
+/// and the serve engine's continuous batch. One ROUND replaces
+/// one-or-more plain beam steps:
 ///
 ///   1. Depth-0 plan rows apply the PENDING selection (the last exact
 ///      beam step) to the live state rows — always exact.

@@ -288,7 +288,7 @@ public:
 
   /// Batched decode over B parallel hypotheses. Each row carries its own
   /// encoder cache, so one state can fuse the beams of MANY sources into
-  /// one batch (the serving scheduler's cross-request batching): the
+  /// one batch (the serve engine's cross-request batching): the
   /// per-step GEMMs run over ALL rows, amortizing weight-matrix traffic
   /// across requests, while the decode constants are the shared per-model
   /// copy. Encoder output and cross-K/V are never copied per beam.
@@ -301,7 +301,7 @@ public:
   /// per-beam ancestry table of segment-local slots, so survivor
   /// selection never moves cached K/V data — it only gathers the (tiny)
   /// index rows. Rows of one source must stay CONTIGUOUS in row order
-  /// (beamSearchMulti and the serve engine both guarantee this).
+  /// (the serve engine guarantees this).
   ///
   /// Decode positions are PER SEGMENT (SegLen), not batch-global: every
   /// source carries its own clock, so sources can join and leave the

@@ -20,7 +20,7 @@
 ///                    retires, so no shard idles while the global queue
 ///                    holds work).
 ///
-///   SlotAllocator    a freelist of decode-batch segments (self-K/V row
+///   SlotAllocator    a freelist of decode batch segments (self-K/V row
 ///                    blocks in nn::Transformer::BatchDecodeState). A
 ///                    retiring source releases its segment; the next
 ///                    admitted source recycles it mid-flight. One per
@@ -246,7 +246,7 @@ private:
       std::chrono::steady_clock::time_point::max();
 };
 
-/// Freelist of decode-batch segment ids [0, N): the engine's row
+/// Freelist of decode batch segment ids [0, N): the engine's row
 /// recycler. Single-consumer (the owning shard's thread) — no locking.
 class SlotAllocator {
 public:

@@ -105,8 +105,7 @@ struct EngineOptions {
   /// source — even one that never overlaps the original in flight —
   /// completes without occupying a decode row. Results are identical
   /// either way (decode is deterministic); disable for decode-cost
-  /// measurements. The batch Scheduler disables it so its run metrics
-  /// keep their "every unique source decodes" meaning.
+  /// measurements.
   bool UseDecodeCache = true;
   /// Admission queue bound. When every shard is full AND QueueCapacity
   /// requests are waiting, submit() blocks (BlockOnFull) or sheds.

@@ -19,7 +19,7 @@
 #include "cc/PrefixOracle.h"
 #include "dataset/Generator.h"
 #include "nn/BeamCore.h"
-#include "serve/Scheduler.h"
+#include "serve/Engine.h"
 #include "support/RNG.h"
 
 #include "PipelineTestUtil.h"
@@ -577,11 +577,11 @@ TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
 }
 
 TEST(Constrain, OffModeByteIdenticalAcrossDriversAndShards) {
-  // The regression pin for this PR: with the constraint off (the default,
-  // a nullptr in BeamConfig), every decode driver — sequential
-  // Decompiler::decompile, fused beamSearchMulti, and the sharded
-  // streaming engine behind the Scheduler — must produce byte-identical
-  // outputs, exactly as before the constraint plumbing existed.
+  // The regression pin for the constraint plumbing: with the constraint
+  // off (the default, a nullptr in BeamConfig), sequential
+  // Decompiler::decompile and the sharded streaming engine at every
+  // shard count must produce byte-identical outputs, exactly as before
+  // the constraint plumbing existed.
   testutil::DecompilerFixture F(5);
   ASSERT_GE(F.Tasks.size(), 2u) << "demo corpus unexpectedly rejected";
 
@@ -593,41 +593,26 @@ TEST(Constrain, OffModeByteIdenticalAcrossDriversAndShards) {
   for (const core::EvalTask &T : F.Tasks)
     Seq.push_back(F.Slade->decompile(T, DOpts));
 
-  nn::BeamConfig BC;
-  BC.BeamSize = 3;
-  BC.MaxLen = 48;
-  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
-  for (const core::EvalTask &T : F.Tasks)
-    Encs.push_back(
-        F.Slade->encodeCached(F.Slade->tokenizer().encode(T.Prog.TargetAsm)));
-  std::vector<std::vector<nn::Hypothesis>> Multi =
-      nn::beamSearchMulti(F.Slade->model(), Encs, BC);
-  ASSERT_EQ(Multi.size(), F.Tasks.size());
-  for (size_t I = 0; I < Multi.size(); ++I) {
-    std::vector<nn::Hypothesis> Solo =
-        nn::beamSearch(F.Slade->model(), Encs[I], BC);
-    ASSERT_EQ(Multi[I].size(), Solo.size()) << "job " << I;
-    for (size_t H = 0; H < Solo.size(); ++H) {
-      EXPECT_EQ(Multi[I][H].Tokens, Solo[H].Tokens) << "job " << I;
-      EXPECT_EQ(Multi[I][H].Score, Solo[H].Score) << "job " << I;
-    }
-  }
-
   for (int Shards : {1, 2, 4}) {
-    serve::ServeOptions SO;
-    SO.BeamSize = 3;
-    SO.MaxLen = 48;
-    SO.Threads = 2;
-    SO.Shards = Shards;
-    SO.Constrain = nn::ConstrainMode::Off;
-    serve::Scheduler Sched(*F.Slade, SO);
-    std::vector<core::HypothesisOutcome> Served =
-        Sched.decompileAll(F.Tasks);
-    ASSERT_EQ(Served.size(), Seq.size());
-    for (size_t I = 0; I < Seq.size(); ++I)
-      testutil::expectSameOutcome(Served[I], Seq[I], I);
+    serve::EngineOptions EO;
+    EO.BeamSize = 3;
+    EO.MaxLen = 48;
+    EO.VerifyThreads = 2;
+    EO.Shards = Shards;
+    EO.Constrain = nn::ConstrainMode::Off;
+    // Every shard count must decode for itself, not replay the cache.
+    EO.UseDecodeCache = false;
+    serve::Engine Eng(*F.Slade, EO);
+    std::vector<serve::Handle> Futs;
+    for (const core::EvalTask &T : F.Tasks)
+      Futs.push_back(Eng.submit({T.Name, "", {}, {}, &T}));
+    for (size_t I = 0; I < Seq.size(); ++I) {
+      serve::RequestResult R = Futs[I].get();
+      ASSERT_TRUE(R.Verified) << Shards << " shards, job " << I;
+      testutil::expectSameOutcome(R.Outcome, Seq[I], I);
+    }
     // Off mode never touches the oracle: the counters must stay zero.
-    const serve::ServeMetrics &M = Sched.metrics();
+    serve::EngineMetrics M = Eng.metrics();
     EXPECT_EQ(M.TokensMasked, 0u) << Shards << " shards";
     EXPECT_EQ(M.BeamsKilled, 0u) << Shards << " shards";
     EXPECT_EQ(M.OracleSeconds, 0.0) << Shards << " shards";
@@ -687,29 +672,32 @@ TEST(Constrain, SyntaxModeEveryCandidateParses) {
 }
 
 TEST(Constrain, SyntaxModeServingSelectionsParse) {
-  // Same gate through the serving stack: scheduler -> sharded engine ->
-  // constrained BeamCore. Selected hypotheses must parse, and the
-  // engine's constraint counters must surface through ServeMetrics.
+  // Same gate through the serving stack: sharded engine -> constrained
+  // BeamCore -> pooled verification. Selected hypotheses must parse,
+  // and the constraint counters must surface through EngineMetrics.
   testutil::DecompilerFixture F(4);
   ASSERT_GE(F.Tasks.size(), 2u) << "demo corpus unexpectedly rejected";
 
-  serve::ServeOptions SO;
-  SO.BeamSize = 3;
-  SO.MaxLen = 48;
-  SO.Threads = 2;
-  SO.Shards = 2;
-  SO.Constrain = nn::ConstrainMode::Syntax;
-  serve::Scheduler Sched(*F.Slade, SO);
-  std::vector<core::HypothesisOutcome> Served = Sched.decompileAll(F.Tasks);
-  ASSERT_EQ(Served.size(), F.Tasks.size());
-  for (size_t I = 0; I < Served.size(); ++I) {
-    if (!Served[I].Produced)
+  serve::EngineOptions EO;
+  EO.BeamSize = 3;
+  EO.MaxLen = 48;
+  EO.VerifyThreads = 2;
+  EO.Shards = 2;
+  EO.Constrain = nn::ConstrainMode::Syntax;
+  serve::Engine Eng(*F.Slade, EO);
+  std::vector<serve::Handle> Futs;
+  for (const core::EvalTask &T : F.Tasks)
+    Futs.push_back(Eng.submit({T.Name, "", {}, {}, &T}));
+  for (size_t I = 0; I < Futs.size(); ++I) {
+    serve::RequestResult R = Futs[I].get();
+    ASSERT_TRUE(R.Verified) << F.Tasks[I].Name;
+    if (!R.Outcome.Produced)
       continue;
-    EXPECT_TRUE(parsesPartial(Served[I].CSource))
+    EXPECT_TRUE(parsesPartial(R.Outcome.CSource))
         << F.Tasks[I].Name << ": served constrained selection does not "
-        << "parse:\n" << Served[I].CSource;
+        << "parse:\n" << R.Outcome.CSource;
   }
-  EXPECT_GT(Sched.metrics().TokensMasked, 0u);
+  EXPECT_GT(Eng.metrics().TokensMasked, 0u);
 }
 
 TEST(Constrain, MaskNeverBlocksAParseableProgramsPath) {

@@ -1022,76 +1022,6 @@ TEST(Transformer, TrainStepRebuildsDecodeConstants) {
   }
 }
 
-TEST(Transformer, MultiSourceBeamMatchesSingleSourceExactly) {
-  // Cross-request batching must be invisible: fusing many sources into
-  // one decode session yields byte-identical hypotheses (tokens AND
-  // scores) to independent per-source searches, because per-row step
-  // results do not depend on the other rows in the batch.
-  Transformer Model(tinyConfig());
-  std::vector<std::vector<int>> Sources = {
-      {4, 5, 6}, {9, 8, 7, 6, 5}, {30, 2, 17, 21}, {3}, {12, 13},
-      {4, 5, 6} /* duplicate request */};
-  for (int K : {1, 3, 5}) {
-    BeamConfig BC;
-    BC.BeamSize = K;
-    BC.MaxLen = 14;
-    std::vector<std::shared_ptr<const Transformer::EncoderCache>> Encs;
-    for (const auto &Src : Sources)
-      Encs.push_back(Model.encodeSource(Src));
-    auto Multi = beamSearchMulti(Model, Encs, BC);
-    ASSERT_EQ(Multi.size(), Sources.size());
-    for (size_t S = 0; S < Sources.size(); ++S) {
-      auto Single = beamSearch(Model, Sources[S], BC);
-      ASSERT_EQ(Multi[S].size(), Single.size()) << "k=" << K << " src " << S;
-      for (size_t I = 0; I < Single.size(); ++I) {
-        EXPECT_EQ(Multi[S][I].Tokens, Single[I].Tokens)
-            << "k=" << K << " src " << S << " hyp " << I;
-        // Bit-exact, not just close: the serving layer's determinism
-        // guarantee rests on this.
-        EXPECT_EQ(Multi[S][I].Score, Single[I].Score)
-            << "k=" << K << " src " << S << " hyp " << I;
-      }
-    }
-  }
-}
-
-TEST(Transformer, MultiSourceBeamAfterTrainingMatchesExactly) {
-  // Trained model: peaked distributions end sources at different steps,
-  // exercising batch shrink + mixed-length cross attention.
-  Transformer Model(tinyConfig());
-  AdamW::Config AC;
-  AC.LR = 1e-2f;
-  AC.WarmupSteps = 10;
-  AdamW Opt(Model.params(), AC, &Model);
-  std::vector<int> Src = {5, 6, 7, 8};
-  std::vector<int> Tgt = {10, 11, 12};
-  for (int StepI = 0; StepI < 60; ++StepI) {
-    Graph G;
-    Model.pairLoss(G, Src, Tgt, true);
-    G.backward();
-    Opt.step();
-  }
-  std::vector<std::vector<int>> Sources = {
-      Src, {9, 8, 7}, {5, 6, 7, 8, 9, 10}, Src};
-  BeamConfig BC;
-  BC.BeamSize = 5;
-  BC.MaxLen = 12;
-  std::vector<std::shared_ptr<const Transformer::EncoderCache>> Encs;
-  for (const auto &S : Sources)
-    Encs.push_back(Model.encodeSource(S));
-  auto Multi = beamSearchMulti(Model, Encs, BC);
-  for (size_t S = 0; S < Sources.size(); ++S) {
-    auto Single = beamSearch(Model, Sources[S], BC);
-    ASSERT_EQ(Multi[S].size(), Single.size()) << "src " << S;
-    for (size_t I = 0; I < Single.size(); ++I) {
-      EXPECT_EQ(Multi[S][I].Tokens, Single[I].Tokens)
-          << "src " << S << " hyp " << I;
-      EXPECT_EQ(Multi[S][I].Score, Single[I].Score)
-          << "src " << S << " hyp " << I;
-    }
-  }
-}
-
 TEST(Transformer, StreamingJoinLeaveRecyclingBitExactLogits) {
   // The continuous-batching substrate: per-SOURCE decode clocks
   // (SegLen). A source admitted mid-flight, a source retiring while

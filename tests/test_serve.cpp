@@ -1,9 +1,10 @@
 //===- test_serve.cpp - serving layer tests ------------------------------------===//
 //
-// The serving layer's contract is determinism: a batch of N jobs through
-// the scheduler (fused decode, dedup, worker pool) must produce
-// byte-identical per-job results to running the same jobs one at a time
-// through the Decompiler. Plus JSONL corpus IO round-trips.
+// The serving layer's contract is determinism: N jobs through the
+// streaming engine (fused decode, in-flight dedup, decode cache, worker
+// pool) must produce byte-identical per-job results to running the same
+// jobs one at a time through the Decompiler. Plus JSONL corpus IO
+// round-trips.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +12,6 @@
 #include "obs/Metrics.h"
 #include "serve/Engine.h"
 #include "serve/Jsonl.h"
-#include "serve/Scheduler.h"
 
 #include "PipelineTestUtil.h"
 
@@ -104,103 +104,10 @@ TEST(Jsonl, CorpusLoadRejectsJobsWithoutPayload) {
   std::remove(Path.c_str());
 }
 
-// -- scheduler determinism ---------------------------------------------------
-
 // Shared pipeline fixtures (tests/PipelineTestUtil.h): a tiny
 // tokenizer-only system, demo tasks + Decompiler, and outcome equality.
 using testutil::expectSameOutcome;
 using ServeFixture = testutil::DecompilerFixture;
-
-TEST(Scheduler, ConcurrentDecompileMatchesSequentialByteForByte) {
-  ServeFixture F(6);
-  ASSERT_GE(F.Tasks.size(), 3u) << "demo corpus unexpectedly rejected";
-  // Duplicate a task: dedup must not change its result.
-  F.Tasks.push_back(F.Tasks.front());
-
-  serve::ServeOptions SO;
-  SO.BeamSize = 3;
-  SO.MaxLen = 48;
-  SO.Threads = 4;
-  serve::Scheduler Sched(*F.Slade, SO);
-  std::vector<core::HypothesisOutcome> Served = Sched.decompileAll(F.Tasks);
-  ASSERT_EQ(Served.size(), F.Tasks.size());
-  EXPECT_EQ(Sched.metrics().Jobs, F.Tasks.size());
-  EXPECT_GE(Sched.metrics().DecodesDeduped, 1u);
-
-  core::Decompiler::Options DO;
-  DO.BeamSize = SO.BeamSize;
-  DO.MaxLen = SO.MaxLen;
-  DO.VerifyThreads = 1;
-  for (size_t I = 0; I < F.Tasks.size(); ++I)
-    expectSameOutcome(Served[I], F.Slade->decompile(F.Tasks[I], DO), I);
-}
-
-TEST(Scheduler, FusedAndUnfusedDecodeAgree) {
-  ServeFixture F(5);
-  ASSERT_GE(F.Tasks.size(), 3u);
-
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions Fused;
-  Fused.BeamSize = 2; // Narrow beams: the fusable regime.
-  Fused.MaxLen = 40;
-  Fused.DecodeBatch = 4; // Force cross-request fusion.
-  // One shard: with one shard per core, a multi-core host would spread
-  // the jobs over shards and fuse only when two happen to overlap on one.
-  Fused.Shards = 1;
-  serve::Scheduler SFused(*F.Slade, Fused);
-  auto RF = SFused.translate(Jobs);
-  EXPECT_GE(SFused.metrics().DecodesFused, 2u);
-
-  serve::ServeOptions Plain = Fused;
-  Plain.BatchDecode = false; // Per-job decode.
-  serve::Scheduler SPlain(*F.Slade, Plain);
-  auto RP = SPlain.translate(Jobs);
-
-  ASSERT_EQ(RF.size(), RP.size());
-  for (size_t I = 0; I < RF.size(); ++I) {
-    EXPECT_EQ(RF[I].Name, RP[I].Name);
-    EXPECT_EQ(RF[I].CSource, RP[I].CSource) << "job " << I;
-  }
-  // And both match the plain Decompiler entry point.
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    EXPECT_EQ(RF[I].CSource, F.Slade->translate(Jobs[I].Asm, Fused.BeamSize,
-                                                Fused.MaxLen))
-        << "job " << I;
-}
-
-TEST(Scheduler, AutoFusionProbeIsCachedAcrossRuns) {
-  // The AUTO fusion decision is a timing probe; repeated runs with the
-  // same weights + beam width must reuse the cached decision instead of
-  // re-measuring.
-  ServeFixture F(4);
-  ASSERT_GE(F.Tasks.size(), 2u);
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions SO; // DecodeBatch = 0: the AUTO policy.
-  SO.BeamSize = 2;
-  SO.MaxLen = 24;
-  SO.FusionProbeSteps = 4; // Keep the probe cheap in tests.
-  serve::Scheduler Sched(*F.Slade, SO);
-  auto First = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().FusionProbes, 1u) << "first run measures";
-  auto Second = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().FusionProbes, 0u)
-      << "second run must reuse the cached decision";
-  for (size_t I = 0; I < First.size(); ++I)
-    EXPECT_EQ(First[I].CSource, Second[I].CSource);
-  // Forcing the width bypasses the probe entirely.
-  serve::ServeOptions Forced = SO;
-  Forced.DecodeBatch = 2;
-  serve::Scheduler SF(*F.Slade, Forced);
-  SF.translate(Jobs);
-  EXPECT_EQ(SF.metrics().FusionProbes, 0u);
-  EXPECT_EQ(SF.metrics().EngineMaxLive, 2);
-}
 
 // -- streaming engine --------------------------------------------------------
 
@@ -429,6 +336,9 @@ TEST(Engine, VerifiedRequestsMatchDecompileOutcomes) {
   // and overlapped; outcomes must equal sequential Decompiler runs.
   ServeFixture F(5);
   ASSERT_GE(F.Tasks.size(), 3u);
+  // Duplicate a task: in-flight dedup or a decode-cache hit must not
+  // change its result.
+  F.Tasks.push_back(F.Tasks.front());
 
   serve::EngineOptions EO;
   EO.BeamSize = 3;
@@ -450,6 +360,9 @@ TEST(Engine, VerifiedRequestsMatchDecompileOutcomes) {
     ASSERT_TRUE(R.Verified);
     expectSameOutcome(R.Outcome, F.Slade->decompile(F.Tasks[I], DO), I);
   }
+  serve::EngineMetrics M = Eng.metrics();
+  EXPECT_GE(M.InFlightDeduped + M.DecodeCacheHits, 1u)
+      << "the duplicate must not decode again";
 }
 
 TEST(Engine, CallbackRunsBeforeFutureAndStopDrains) {
@@ -476,37 +389,6 @@ TEST(Engine, CallbackRunsBeforeFutureAndStopDrains) {
     EXPECT_EQ(Futs[I].get().Name, F.Tasks[I].Name);
   Eng.stop(); // Idempotent with the destructor.
   EXPECT_EQ(Eng.metrics().Completed, F.Tasks.size());
-}
-
-TEST(Scheduler, ShardedRunMatchesSoloAndReportsShardCount) {
-  // The batch front with an explicit shard count: unique sources spread
-  // over two decode threads, results still byte-identical to solo
-  // translate, and the decode LRU stays out of its runs.
-  ServeFixture F(5);
-  ASSERT_GE(F.Tasks.size(), 3u);
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions SO;
-  SO.BeamSize = 2;
-  SO.MaxLen = 32;
-  SO.Shards = 2;
-  serve::Scheduler Sched(*F.Slade, SO);
-  auto Out = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().EngineShards, 2);
-  EXPECT_EQ(Sched.metrics().DecodeCacheHits, 0u)
-      << "the batch front must not serve decodes from the cache";
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    EXPECT_EQ(Out[I].CSource,
-              F.Slade->translate(Jobs[I].Asm, SO.BeamSize, SO.MaxLen))
-        << "job " << I;
-  // A second identical run must still decode (cache disabled), still
-  // byte-identical.
-  auto Again = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().DecodeCacheHits, 0u);
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    EXPECT_EQ(Out[I].CSource, Again[I].CSource);
 }
 
 // -- sharded engine ----------------------------------------------------------
@@ -1306,35 +1188,6 @@ TEST(Engine, PrometheusScrapeIsCoherentMidFlight) {
   obs::Histogram &H = Reg.histogram("slade_engine_latency_seconds", "",
                                     obs::Histogram::defaultLatencyBounds());
   EXPECT_EQ(H.count(), static_cast<uint64_t>(M.Ok));
-}
-
-TEST(Scheduler, RepeatedRunsHitTheEncoderCache) {
-  ServeFixture F(4);
-  ASSERT_GE(F.Tasks.size(), 2u);
-  std::vector<serve::TranslateJob> Jobs;
-  for (const core::EvalTask &T : F.Tasks)
-    Jobs.push_back({T.Name, T.Prog.TargetAsm});
-
-  serve::ServeOptions SO;
-  SO.BeamSize = 2;
-  SO.MaxLen = 32;
-  serve::Scheduler Sched(*F.Slade, SO);
-  auto First = Sched.translate(Jobs);
-  EXPECT_EQ(Sched.metrics().EncoderCacheHits, 0u);
-  // All-miss run: hit rate 0, a positive mean cold-encode cost, and the
-  // LRU now holds the encoded sources' bytes.
-  EXPECT_EQ(Sched.metrics().EncoderCacheHitRate, 0.0);
-  EXPECT_GT(Sched.metrics().ColdEncodeMsMean, 0.0);
-  EXPECT_GT(Sched.metrics().EncoderCacheBytes, 0u);
-  EXPECT_EQ(Sched.metrics().EncoderCacheBytes,
-            F.Slade->encoderCache().bytesUsed());
-  auto Second = Sched.translate(Jobs); // Same traffic again.
-  EXPECT_EQ(Sched.metrics().EncoderCacheMisses, 0u)
-      << "second run must be all hits";
-  EXPECT_EQ(Sched.metrics().EncoderCacheHitRate, 1.0)
-      << "all-hit run must report rate 1";
-  for (size_t I = 0; I < First.size(); ++I)
-    EXPECT_EQ(First[I].CSource, Second[I].CSource);
 }
 
 } // namespace

@@ -4,9 +4,8 @@
 // distilled, untrained, even adversarially wrong — every decode driver
 // must produce bit-for-bit the hypotheses of plain decode, because all
 // committed selections consume exact full-model logits. These tests pin
-// that contract at the nn level (beamSearch / beamSearchMulti) and the
-// serving level (sharded engine), plus the int8 kernel properties the
-// draft relies on.
+// that contract at the nn level (beamSearch) and the serving level
+// (sharded engine), plus the int8 kernel properties the draft relies on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -220,27 +219,6 @@ TEST(SpecDecode, BeamSearchByteIdenticalAcrossGammas) {
       EXPECT_GE(Stats.Proposed, Stats.Accepted);
     }
   }
-}
-
-TEST(SpecDecode, BeamSearchMultiByteIdentical) {
-  SpecFixture F;
-  DraftModel Draft = F.makeDraft(/*Steps=*/30);
-  BeamConfig Plain;
-  Plain.BeamSize = 3;
-  Plain.MaxLen = 24;
-  std::vector<std::shared_ptr<const Transformer::EncoderCache>> Encs;
-  for (const std::vector<int> &Src : F.Sources)
-    Encs.push_back(F.Full->encodeSource(Src));
-  std::vector<std::vector<Hypothesis>> Want =
-      beamSearchMulti(*F.Full, Encs, Plain);
-  BeamConfig Spec = Plain;
-  Spec.Draft = &Draft.model();
-  Spec.DraftGamma = 3;
-  std::vector<std::vector<Hypothesis>> Got =
-      beamSearchMulti(*F.Full, Encs, Spec);
-  ASSERT_EQ(Want.size(), Got.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    expectSameHyps(Want[I], Got[I], "beamSearchMulti");
 }
 
 TEST(SpecDecode, UntrainedDraftStillByteIdentical) {

@@ -1,12 +1,18 @@
 //===- slade-serve.cpp - concurrent decompile serving front end ---------------===//
 //
-// Serves decompile jobs through the serve::Scheduler: encoder-LRU-cached
-// encodes, cross-request batched beam decode, and pooled IO-verification.
-// Consumes a JSONL corpus, a list of .s files, or a generated demo corpus,
-// and emits per-function JSONL results plus aggregate metrics
-// (functions/sec, cache hit rate).
+// Serves decompile jobs through the sharded streaming engine
+// (serve::Engine): encoder-LRU-cached encodes, continuous-batching beam
+// decode, and pooled IO-verification. Consumes a JSONL corpus, a list of
+// .s files, or a generated demo corpus, and emits per-function JSONL
+// results plus one summary line (functions/sec, latency percentiles,
+// stage times, cache hit rates).
+//
+// Batch mode (the default) submits every job at t = 0, encoded up front
+// on a --threads-wide pool; --stream replays the jobs with Poisson
+// arrival times and encodes each one at dispatch.
 //
 // Run: ./build/slade-serve --demo 24 --check
+//      ./build/slade-serve --demo 24 --stream --rate 80 --check
 //      ./build/slade-serve --corpus jobs.jsonl --out results.jsonl
 //      ./build/slade-serve fn1.s fn2.s ...
 //
@@ -27,7 +33,6 @@
 #include "obs/Trace.h"
 #include "serve/Engine.h"
 #include "serve/Jsonl.h"
-#include "serve/Scheduler.h"
 
 #include <algorithm>
 #include <chrono>
@@ -36,7 +41,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <random>
 #include <sstream>
@@ -54,44 +58,30 @@ int envInt(const char *Name, int Default) {
 struct CliOptions {
   asmx::Dialect D = asmx::Dialect::X86;
   bool Optimize = false;
-  serve::ServeOptions Serve;
+  /// Every engine knob the flags set. --threads sizes both the verify
+  /// pool (VerifyThreads) and batch mode's up-front encode pool.
+  serve::EngineOptions Engine = [] {
+    serve::EngineOptions E;
+    E.Shards = 0; // --shards default: one per hardware thread.
+    return E;
+  }();
   std::string CorpusPath;
   std::vector<std::string> AsmFiles;
   int DemoN = 0;
   int DemoDup = 1; ///< Requests per demo function (duplicate traffic).
-  nn::ConstrainMode Constrain = nn::ConstrainMode::Off;
-  nn::SpecMode Speculate = nn::SpecMode::Off;
   int EncCacheMb = 0; ///< Encoder-LRU byte budget in MiB (0 = count only).
   int DecCacheMb = 0; ///< Decode-LRU byte budget in MiB (0 = count only).
   bool Sequential = false; ///< Baseline: one Decompiler call per job.
-  bool Check = false;      ///< Run batched AND sequential, compare.
+  bool Check = false;      ///< Run served AND sequential, compare.
   std::string OutPath;
   // -- streaming replay (--stream) --
-  bool Stream = false; ///< Replay the corpus with arrival timestamps
-                       ///< through the continuous-batching engine.
+  bool Stream = false; ///< Replay the corpus with arrival timestamps.
   double Rate = 0;     ///< Mean Poisson arrivals/sec (0 = jobs over ~1s).
-  int MaxLive = 4;     ///< Engine MaxLiveSources (per shard).
-  int Shards = 0;      ///< Decode shards (0 = auto: hardware threads).
-  int TickThreads = 1; ///< Intra-tick worker threads per shard.
-  int QueueCap = 256;  ///< Engine admission-queue bound.
   uint64_t ArrivalSeed = 42; ///< Poisson arrival RNG seed.
-  bool StreamCompare = false; ///< Also replay through the batch-scoped
-                              ///< scheduler (greedy batches) and compare
-                              ///< latency/throughput.
-  // -- overload-safety knobs (stream mode) --
+  // -- overload-safety knobs --
   double DeadlineMs = 0; ///< Per-request deadline from arrival (0 = none).
-  bool Shed = false;     ///< Load-shedding admission: a full queue rejects
-                         ///< (QueueFull) instead of blocking the producer.
   double DrainMs = -1;   ///< Graceful-drain budget after the last arrival
                          ///< (<0 = unbounded stop()).
-  double VerifyTimeoutMs = 0; ///< Per-candidate verify wall budget.
-  int VerifyRetries = 0;      ///< Retries for thrown verify attempts.
-  // -- deterministic fault injection (default off) --
-  uint64_t FaultSeed = 0;
-  double FaultEncodeThrow = 0;
-  double FaultVerifyThrow = 0;
-  double FaultVerifyHang = 0;
-  double FaultSlowTick = 0;
   // -- observability (obs/; default off) --
   std::string TraceOut;   ///< Chrome trace_event JSON path ("-" = stdout).
   int TraceSample = 1;    ///< Trace every Nth request (1 = all).
@@ -109,7 +99,7 @@ void usage() {
       "  --demo N             generate an N-function benchmark corpus\n"
       "  --dup F              repeat each demo function F times (models\n"
       "                       duplicate-heavy serving traffic; default 1)\n"
-      "  --beam K             beam size (default 5)\n"
+      "  --beam K             beam size, >= 1 (default 5)\n"
       "  --constrain M        off|syntax: grammar-constrained decoding.\n"
       "                       syntax masks vocabulary pieces that cannot\n"
       "                       extend to a parseable C function and kills\n"
@@ -128,21 +118,19 @@ void usage() {
       "                       (default off)\n"
       "  --draft-gamma N      draft proposal depth per speculative\n"
       "                       round (default 4)\n"
-      "  --maxlen N           max decoded tokens (default 220)\n"
-      "  --threads N          worker threads, 0 = hardware (default)\n"
-      "  --decode-batch N     max sources decoding concurrently in the\n"
-      "                       engine (default 0 = auto: a timing probe\n"
-      "                       measures whether fusion wins at this beam\n"
-      "                       width; the decision is cached per weight\n"
-      "                       version + beam width)\n"
+      "  --maxlen N           max decoded tokens, >= 1 (default 220)\n"
+      "  --threads N          encode + verify worker threads, 0 =\n"
+      "                       hardware (default)\n"
       "  --enc-cache-mb N     cap the encoder-output LRU at N MiB\n"
       "  --dec-cache-mb N     cap the decoded-hypotheses LRU at N MiB\n"
-      "                       (streaming engine: repeats that never\n"
-      "                       overlap in flight skip their decode)\n"
+      "                       (repeats that never overlap in flight skip\n"
+      "                       their decode)\n"
       "  --shards N           decode shards: independent decode threads,\n"
       "                       each running its own continuous batch\n"
       "                       (default 0 = one per hardware thread,\n"
       "                       capped at 8)\n"
+      "  --live N             max sources decoding together in one\n"
+      "                       shard's fused batch (default 4)\n"
       "  --tick-threads N     intra-tick worker threads per decode\n"
       "                       shard: row/tile ranges of ONE fused tick\n"
       "                       split across a per-shard pool, so a\n"
@@ -150,23 +138,17 @@ void usage() {
       "                       byte-identical at every value; total\n"
       "                       decode workers ~= shards * N (default 1\n"
       "                       = no pool, the sequential path)\n"
-      "  --no-batch           disable cross-request decode batching\n"
+      "  --queue N            engine admission-queue bound (default 256)\n"
       "  --no-typeinf         disable type inference\n"
       "  --sequential         baseline: sequential Decompiler calls\n"
-      "  --check              run batched AND sequential, compare outputs\n"
+      "  --check              run served AND sequential, compare outputs\n"
       "  --out FILE           write per-function results JSONL\n"
       "  --stream             replay the corpus with Poisson arrival\n"
-      "                       times through the continuous-batching\n"
-      "                       engine; report throughput + latency\n"
-      "                       percentiles (p50/p95/p99)\n"
+      "                       times instead of submitting every job at\n"
+      "                       once; each request encodes at dispatch\n"
       "  --rate R             mean stream arrivals per second (default:\n"
       "                       all jobs over ~1s)\n"
-      "  --live N             engine max live sources per shard\n"
-      "                       (default 4)\n"
-      "  --queue N            engine admission-queue bound (default 256)\n"
       "  --arrival-seed S     arrival RNG seed (default 42)\n"
-      "  --stream-compare     also replay the same arrivals through the\n"
-      "                       batch-scoped scheduler, compare latency\n"
       "  --deadline-ms D      per-request deadline, D ms from arrival;\n"
       "                       expired work is shed with a typed\n"
       "                       deadline_expired status (default 0 = none)\n"
@@ -192,13 +174,13 @@ void usage() {
       "  --trace-seed S       trace sampling seed (default 0)\n"
       "  --metrics-out FILE   write the Prometheus text exposition of\n"
       "                       the unified metrics registry ('-' =\n"
-      "                       stdout). --stream renders with the engine\n"
-      "                       live (full request-outcome families) and\n"
-      "                       dumps an extra scrape on SIGUSR1; batch\n"
-      "                       modes render at exit\n");
+      "                       stdout), rendered with the engine live\n"
+      "                       (full request-outcome families); --stream\n"
+      "                       dumps an extra scrape on SIGUSR1\n");
 }
 
 bool parseArgs(int argc, char **argv, CliOptions *O) {
+  serve::EngineOptions &E = O->Engine;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     auto Next = [&]() -> const char * {
@@ -208,13 +190,26 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->D = std::strcmp(V, "arm") == 0 ? asmx::Dialect::Arm
-                                        : asmx::Dialect::X86;
+      if (std::strcmp(V, "arm") == 0) {
+        O->D = asmx::Dialect::Arm;
+      } else if (std::strcmp(V, "x86") == 0) {
+        O->D = asmx::Dialect::X86;
+      } else {
+        std::fprintf(stderr, "error: --isa must be x86|arm\n");
+        return false;
+      }
     } else if (A == "--opt") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Optimize = std::strcmp(V, "O3") == 0;
+      if (std::strcmp(V, "O3") == 0) {
+        O->Optimize = true;
+      } else if (std::strcmp(V, "O0") == 0) {
+        O->Optimize = false;
+      } else {
+        std::fprintf(stderr, "error: --opt must be O0|O3\n");
+        return false;
+      }
     } else if (A == "--corpus") {
       const char *V = Next();
       if (!V)
@@ -235,54 +230,55 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       if (!V)
         return false;
       if (std::strcmp(V, "syntax") == 0) {
-        O->Constrain = nn::ConstrainMode::Syntax;
+        E.Constrain = nn::ConstrainMode::Syntax;
       } else if (std::strcmp(V, "off") == 0) {
-        O->Constrain = nn::ConstrainMode::Off;
+        E.Constrain = nn::ConstrainMode::Off;
       } else {
         std::fprintf(stderr, "error: --constrain must be off|syntax\n");
         return false;
       }
-      O->Serve.Constrain = O->Constrain;
     } else if (A == "--speculate") {
       const char *V = Next();
       if (!V)
         return false;
       if (std::strcmp(V, "on") == 0) {
-        O->Speculate = nn::SpecMode::On;
+        E.Speculate = nn::SpecMode::On;
       } else if (std::strcmp(V, "auto") == 0) {
-        O->Speculate = nn::SpecMode::Auto;
+        E.Speculate = nn::SpecMode::Auto;
       } else if (std::strcmp(V, "off") == 0) {
-        O->Speculate = nn::SpecMode::Off;
+        E.Speculate = nn::SpecMode::Off;
       } else {
         std::fprintf(stderr, "error: --speculate must be off|auto|on\n");
         return false;
       }
-      O->Serve.Speculate = O->Speculate;
     } else if (A == "--draft-gamma") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.DraftGamma = std::max(1, std::atoi(V));
+      E.DraftGamma = std::max(1, std::atoi(V));
     } else if (A == "--beam") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.BeamSize = std::atoi(V);
+      E.BeamSize = std::atoi(V);
+      if (E.BeamSize < 1) {
+        std::fprintf(stderr, "error: --beam must be >= 1\n");
+        return false;
+      }
     } else if (A == "--maxlen") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.MaxLen = std::atoi(V);
+      E.MaxLen = std::atoi(V);
+      if (E.MaxLen < 1) {
+        std::fprintf(stderr, "error: --maxlen must be >= 1\n");
+        return false;
+      }
     } else if (A == "--threads") {
       const char *V = Next();
       if (!V)
         return false;
-      O->Serve.Threads = std::atoi(V);
-    } else if (A == "--decode-batch") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O->Serve.DecodeBatch = std::atoi(V);
+      E.VerifyThreads = std::atoi(V);
     } else if (A == "--enc-cache-mb") {
       const char *V = Next();
       if (!V)
@@ -305,14 +301,12 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->Shards = std::max(0, std::atoi(V));
-      O->Serve.Shards = O->Shards;
+      E.Shards = std::max(0, std::atoi(V));
     } else if (A == "--tick-threads") {
       const char *V = Next();
       if (!V)
         return false;
-      O->TickThreads = std::max(1, std::atoi(V));
-      O->Serve.TickThreads = O->TickThreads;
+      E.TickThreads = std::max(1, std::atoi(V));
     } else if (A == "--stream") {
       O->Stream = true;
     } else if (A == "--rate") {
@@ -324,26 +318,24 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->MaxLive = std::max(1, std::atoi(V));
+      E.MaxLiveSources = std::max(1, std::atoi(V));
     } else if (A == "--queue") {
       const char *V = Next();
       if (!V)
         return false;
-      O->QueueCap = std::max(1, std::atoi(V));
+      E.QueueCapacity = static_cast<size_t>(std::max(1, std::atoi(V)));
     } else if (A == "--arrival-seed") {
       const char *V = Next();
       if (!V)
         return false;
       O->ArrivalSeed = static_cast<uint64_t>(std::atoll(V));
-    } else if (A == "--stream-compare") {
-      O->StreamCompare = true;
     } else if (A == "--deadline-ms") {
       const char *V = Next();
       if (!V)
         return false;
       O->DeadlineMs = std::atof(V);
     } else if (A == "--shed") {
-      O->Shed = true;
+      E.BlockOnFull = false;
     } else if (A == "--drain-ms") {
       const char *V = Next();
       if (!V)
@@ -353,37 +345,37 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       const char *V = Next();
       if (!V)
         return false;
-      O->VerifyTimeoutMs = std::atof(V);
+      E.VerifyCandidateTimeout = std::atof(V) / 1000.0;
     } else if (A == "--verify-retries") {
       const char *V = Next();
       if (!V)
         return false;
-      O->VerifyRetries = std::max(0, std::atoi(V));
+      E.VerifyMaxRetries = std::max(0, std::atoi(V));
     } else if (A == "--fault-seed") {
       const char *V = Next();
       if (!V)
         return false;
-      O->FaultSeed = static_cast<uint64_t>(std::atoll(V));
+      E.Faults.Seed = static_cast<uint64_t>(std::atoll(V));
     } else if (A == "--fault-encode-throw") {
       const char *V = Next();
       if (!V)
         return false;
-      O->FaultEncodeThrow = std::atof(V);
+      E.Faults.EncodeThrow = std::atof(V);
     } else if (A == "--fault-verify-throw") {
       const char *V = Next();
       if (!V)
         return false;
-      O->FaultVerifyThrow = std::atof(V);
+      E.Faults.VerifyThrow = std::atof(V);
     } else if (A == "--fault-verify-hang") {
       const char *V = Next();
       if (!V)
         return false;
-      O->FaultVerifyHang = std::atof(V);
+      E.Faults.VerifyHang = std::atof(V);
     } else if (A == "--fault-slow-tick") {
       const char *V = Next();
       if (!V)
         return false;
-      O->FaultSlowTick = std::atof(V);
+      E.Faults.SlowTick = std::atof(V);
     } else if (A == "--trace-out") {
       const char *V = Next();
       if (!V)
@@ -408,10 +400,8 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
       if (!V)
         return false;
       O->MetricsOut = V;
-    } else if (A == "--no-batch") {
-      O->Serve.BatchDecode = false;
     } else if (A == "--no-typeinf") {
-      O->Serve.UseTypeInference = false;
+      E.UseTypeInference = false;
     } else if (A == "--sequential") {
       O->Sequential = true;
     } else if (A == "--check") {
@@ -472,105 +462,19 @@ std::string outcomeJson(const std::string &Name,
   return SS.str();
 }
 
-void printMetrics(const char *Label, const serve::ServeMetrics &M) {
-  std::fprintf(stderr,
-               "[%s] %zu functions in %.3fs = %.2f fn/s (encode %.3fs, "
-               "decode %.3fs, verify %.3fs; %zu deduped, %zu fused "
-               "(width %d, %d shards, %zu probes), encoder cache %llu "
-               "hits / %llu misses = %.0f%% hit rate, cold encode %.2f "
-               "ms mean, %.1f KiB cached)\n",
-               Label, M.Jobs, M.TotalSeconds, M.FunctionsPerSec,
-               M.EncodeSeconds, M.DecodeSeconds, M.VerifySeconds,
-               M.DecodesDeduped, M.DecodesFused, M.EngineMaxLive,
-               M.EngineShards, M.FusionProbes,
-               static_cast<unsigned long long>(M.EncoderCacheHits),
-               static_cast<unsigned long long>(M.EncoderCacheMisses),
-               100.0 * M.EncoderCacheHitRate, M.ColdEncodeMsMean,
-               static_cast<double>(M.EncoderCacheBytes) / 1024.0);
-  std::fprintf(stderr,
-               "[%s] queue wait p50/p95/p99 %.1f/%.1f/%.1f ms, latency "
-               "p50/p95/p99 %.1f/%.1f/%.1f ms\n",
-               Label, 1e3 * M.QueueWaitP50, 1e3 * M.QueueWaitP95,
-               1e3 * M.QueueWaitP99, 1e3 * M.LatencyP50,
-               1e3 * M.LatencyP95, 1e3 * M.LatencyP99);
-  if (M.TokensMasked + M.BeamsKilled > 0 || M.OracleSeconds > 0)
-    std::fprintf(stderr,
-                 "[%s] constrain: %llu tokens masked, %llu beams killed, "
-                 "oracle %.3fs\n",
-                 Label, static_cast<unsigned long long>(M.TokensMasked),
-                 static_cast<unsigned long long>(M.BeamsKilled),
-                 M.OracleSeconds);
-  if (M.SpecRounds > 0)
-    std::fprintf(stderr,
-                 "[%s] speculate: %llu/%llu proposals accepted (%.0f%%), "
-                 "%llu rounds, %llu fallbacks, draft %.3fs\n",
-                 Label, static_cast<unsigned long long>(M.DraftAccepted),
-                 static_cast<unsigned long long>(M.DraftProposed),
-                 100.0 * M.SpecAcceptRate,
-                 static_cast<unsigned long long>(M.SpecRounds),
-                 static_cast<unsigned long long>(M.SpecFallbacks),
-                 M.DraftSeconds);
-}
-
-/// One summary JSONL object per scheduler run, written after the
-/// per-function results: machine-readable counters that make the
-/// encode-bound vs. decode-bound regime visible in the output stream.
-std::string metricsJson(const char *Label, const serve::ServeMetrics &M) {
-  std::ostringstream SS;
-  SS << "{\"type\": \"summary\", \"label\": \"" << serve::jsonEscape(Label)
-     << "\", \"jobs\": " << M.Jobs << ", \"fn_per_sec\": "
-     << M.FunctionsPerSec << ", \"encode_s\": " << M.EncodeSeconds
-     << ", \"decode_s\": " << M.DecodeSeconds << ", \"verify_s\": "
-     << M.VerifySeconds << ", \"total_s\": " << M.TotalSeconds
-     << ", \"deduped\": " << M.DecodesDeduped << ", \"fused\": "
-     << M.DecodesFused << ", \"encoder_cache_hits\": " << M.EncoderCacheHits
-     << ", \"encoder_cache_misses\": " << M.EncoderCacheMisses
-     << ", \"encoder_hit_rate\": " << M.EncoderCacheHitRate
-     << ", \"cold_encode_ms_mean\": " << M.ColdEncodeMsMean
-     << ", \"encoder_cache_bytes\": " << M.EncoderCacheBytes
-     << ", \"engine_width\": " << M.EngineMaxLive
-     << ", \"engine_shards\": " << M.EngineShards
-     << ", \"decode_cache_hits\": " << M.DecodeCacheHits
-     << ", \"decode_cache_misses\": " << M.DecodeCacheMisses
-     << ", \"decode_cache_bytes\": " << M.DecodeCacheBytes
-     << ", \"fusion_probes\": " << M.FusionProbes
-     << ", \"requests_shed\": " << M.RequestsShed
-     << ", \"requests_expired\": " << M.RequestsExpired
-     << ", \"requests_cancelled\": " << M.RequestsCancelled
-     << ", \"requests_failed\": " << M.RequestsFailed
-     << ", \"verify_timeouts\": " << M.VerifyTimeouts
-     << ", \"verify_retries\": " << M.VerifyRetries
-     << ", \"beams_killed\": " << M.BeamsKilled
-     << ", \"tokens_masked\": " << M.TokensMasked
-     << ", \"oracle_s\": " << M.OracleSeconds
-     << ", \"draft_proposed\": " << M.DraftProposed
-     << ", \"draft_accepted\": " << M.DraftAccepted
-     << ", \"spec_accept_rate\": " << M.SpecAcceptRate
-     << ", \"spec_rounds\": " << M.SpecRounds
-     << ", \"spec_fallbacks\": " << M.SpecFallbacks
-     << ", \"draft_s\": " << M.DraftSeconds
-     << ", \"queue_wait_p50_s\": " << M.QueueWaitP50
-     << ", \"queue_wait_p95_s\": " << M.QueueWaitP95
-     << ", \"queue_wait_p99_s\": " << M.QueueWaitP99
-     << ", \"latency_p50_s\": " << M.LatencyP50
-     << ", \"latency_p95_s\": " << M.LatencyP95
-     << ", \"latency_p99_s\": " << M.LatencyP99 << "}";
-  return SS.str();
-}
-
 //===----------------------------------------------------------------------===//
-// Streaming replay (--stream)
+// Engine replay (batch mode and --stream)
 //===----------------------------------------------------------------------===//
 
-/// SIGUSR1 = "scrape now": the stream submit loop checks this between
-/// arrivals and writes the Prometheus exposition mid-run (the registry
-/// scrape is safe while the engine serves — that coherence is the
+/// SIGUSR1 = "scrape now": the submit loop checks this between arrivals
+/// and writes the Prometheus exposition mid-run (the registry scrape is
+/// safe while the engine serves — that coherence is the
 /// scrape-during-soak test in test_serve.cpp).
 volatile std::sig_atomic_t MetricsDumpRequested = 0;
 void onMetricsSignal(int) { MetricsDumpRequested = 1; }
 
-/// One replayed request: a verified task or a raw translate job, with its
-/// arrival offset from replay start.
+/// One served request: a verified task or a raw translate job, with its
+/// arrival offset from replay start (0 in batch mode).
 struct StreamItem {
   std::string Name;
   const core::EvalTask *Task = nullptr; ///< Verified when set.
@@ -594,16 +498,18 @@ void assignArrivals(std::vector<StreamItem> &Items, double RatePerSec,
 struct StreamOutcome {
   std::vector<serve::RequestResult> Results; ///< In item order.
   /// SERVED (status ok) requests only: a shed request resolving in
-  /// microseconds must not fake a fast percentile. The scheduler
-  /// baseline serves everything, so there the vectors cover all items.
+  /// microseconds must not fake a fast percentile.
   std::vector<double> Latency;   ///< Arrival -> completion, OK only.
   std::vector<double> QueueWait; ///< Arrival -> decode start, OK only.
   double WallSeconds = 0;
   double FnPerSec = 0;
-  /// Engine counters at replay end (engine replays only): dedup /
-  /// decode-LRU counts and per-shard utilization.
+  /// Engine counters at replay end. EncodeSeconds also counts batch
+  /// mode's up-front encode.
   serve::EngineMetrics Engine;
-  bool HasEngine = false;
+  /// Encoder-LRU activity during the replay (stats deltas) and its heap
+  /// bytes after it.
+  nn::EncoderLRU::Stats EncoderRun;
+  size_t EncoderCacheBytes = 0;
 
   /// Percentiles via the serve library's one implementation.
   serve::LatencyStats latency() const {
@@ -612,65 +518,75 @@ struct StreamOutcome {
   serve::LatencyStats queueWait() const {
     return serve::latencyStatsOf(QueueWait);
   }
+  double encoderHitRate() const {
+    uint64_t Lookups = EncoderRun.Hits + EncoderRun.Misses;
+    return Lookups ? static_cast<double>(EncoderRun.Hits) /
+                         static_cast<double>(Lookups)
+                   : 0.0;
+  }
+  /// Mean wall-clock ms of one LRU-miss encode (the cold-encode cost).
+  double coldEncodeMsMean() const {
+    return EncoderRun.Misses ? EncoderRun.MissSeconds * 1000.0 /
+                                   static_cast<double>(EncoderRun.Misses)
+                             : 0.0;
+  }
 };
 
-/// Replays the items through the continuous-batching engine: submit each
-/// request at its arrival time, await all completions.
-StreamOutcome streamThroughEngine(const core::Decompiler &Slade,
+/// Serves the items through one engine: each request is submitted at its
+/// arrival offset, then every completion is awaited.
+StreamOutcome replayThroughEngine(const core::Decompiler &Slade,
                                   const CliOptions &O,
                                   const std::vector<StreamItem> &Items) {
-  serve::EngineOptions EO;
-  EO.BeamSize = O.Serve.BeamSize;
-  EO.MaxLen = O.Serve.MaxLen;
-  EO.UseTypeInference = O.Serve.UseTypeInference;
-  EO.VerifyThreads = O.Serve.Threads;
-  EO.MaxLiveSources = O.MaxLive;
-  EO.Shards = O.Shards;
-  EO.TickThreads = O.TickThreads;
-  EO.QueueCapacity = static_cast<size_t>(O.QueueCap);
-  EO.Constrain = O.Constrain;
-  EO.Speculate = O.Serve.Speculate;
-  EO.DraftGamma = O.Serve.DraftGamma;
-  EO.BlockOnFull = !O.Shed;
-  EO.VerifyCandidateTimeout = O.VerifyTimeoutMs / 1000.0;
-  EO.VerifyMaxRetries = O.VerifyRetries;
-  EO.Faults.Seed = O.FaultSeed;
-  EO.Faults.EncodeThrow = O.FaultEncodeThrow;
-  EO.Faults.VerifyThrow = O.FaultVerifyThrow;
-  EO.Faults.VerifyHang = O.FaultVerifyHang;
-  EO.Faults.SlowTick = O.FaultSlowTick;
-  EO.Metrics = O.Serve.Metrics;
-
   StreamOutcome SO;
   size_t N = Items.size();
   SO.Results.resize(N);
   SO.Latency.reserve(N);
   SO.QueueWait.reserve(N);
+  std::vector<serve::DecompileRequest> Reqs(N);
+  for (size_t I = 0; I < N; ++I) {
+    Reqs[I].Name = Items[I].Name;
+    Reqs[I].Task = Items[I].Task;
+    Reqs[I].Asm = Items[I].Task ? Items[I].Task->Prog.TargetAsm
+                                : Items[I].Asm;
+  }
+  nn::EncoderLRU::Stats Before = Slade.encoderCache().stats();
+  obs::Registry *Reg = O.Engine.Metrics;
   {
-    serve::Engine Eng(Slade, EO);
+    serve::Engine Eng(Slade, O.Engine);
     std::vector<serve::Handle> Handles(N);
     auto Start = std::chrono::steady_clock::now();
+    double PreEncodeSeconds = 0;
+    if (!O.Stream) {
+      // Batch mode: every request arrives at t = 0, so encode them all
+      // up front on a --threads-wide pool and submit them pre-encoded;
+      // the dispatcher would encode them one at a time. --stream
+      // encodes at dispatch, as each request arrives.
+      ThreadPool Pool(O.Engine.VerifyThreads > 0
+                          ? static_cast<unsigned>(O.Engine.VerifyThreads)
+                          : ThreadPool::defaultConcurrency());
+      Pool.parallelFor(N, [&](size_t I) {
+        Reqs[I].Src = Slade.tokenizer().encode(Reqs[I].Asm);
+        Reqs[I].Enc = Slade.encodeCached(Reqs[I].Src);
+      });
+      PreEncodeSeconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+    }
     for (size_t I = 0; I < N; ++I) {
       std::this_thread::sleep_until(
           Start + std::chrono::duration<double>(Items[I].ArriveAt));
-      if (MetricsDumpRequested && O.Serve.Metrics) {
+      if (MetricsDumpRequested && Reg) {
         MetricsDumpRequested = 0;
-        O.Serve.Metrics->renderPrometheusFile(
-            O.MetricsOut.empty() ? "-" : O.MetricsOut);
+        Reg->renderPrometheusFile(O.MetricsOut.empty() ? "-"
+                                                       : O.MetricsOut);
       }
-      serve::DecompileRequest R;
-      R.Name = Items[I].Name;
-      R.Task = Items[I].Task;
-      R.Asm = Items[I].Asm;
-      if (Items[I].Task)
-        R.Asm = Items[I].Task->Prog.TargetAsm;
       if (O.DeadlineMs > 0)
-        R.Deadline = std::chrono::steady_clock::now() +
-                     std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(O.DeadlineMs /
-                                                       1000.0));
-      Handles[I] = Eng.submit(std::move(R));
+        Reqs[I].Deadline = std::chrono::steady_clock::now() +
+                           std::chrono::duration_cast<
+                               std::chrono::steady_clock::duration>(
+                               std::chrono::duration<double>(O.DeadlineMs /
+                                                             1000.0));
+      Handles[I] = Eng.submit(std::move(Reqs[I]));
     }
     if (O.DrainMs >= 0)
       Eng.drain(std::chrono::steady_clock::now() +
@@ -689,101 +605,47 @@ StreamOutcome streamThroughEngine(const core::Decompiler &Slade,
                                       Start)
             .count();
     SO.Engine = Eng.metrics();
-    SO.HasEngine = true;
-    if (!O.MetricsOut.empty() && O.Serve.Metrics) {
+    SO.Engine.EncodeSeconds += PreEncodeSeconds;
+    if (!O.MetricsOut.empty() && Reg) {
       // The authoritative scrape: the engine (and its coherent
       // request-outcome collector) is still registered.
-      if (!O.Serve.Metrics->renderPrometheusFile(O.MetricsOut))
+      if (!Reg->renderPrometheusFile(O.MetricsOut))
         std::fprintf(stderr, "error: cannot write %s\n",
                      O.MetricsOut.c_str());
     }
   }
+  nn::EncoderLRU::Stats After = Slade.encoderCache().stats();
+  SO.EncoderRun.Hits = After.Hits - Before.Hits;
+  SO.EncoderRun.Misses = After.Misses - Before.Misses;
+  SO.EncoderRun.MissSeconds = After.MissSeconds - Before.MissSeconds;
+  SO.EncoderCacheBytes = Slade.encoderCache().bytesUsed();
   SO.FnPerSec = SO.WallSeconds > 0
                     ? static_cast<double>(N) / SO.WallSeconds
                     : 0;
   return SO;
 }
 
-/// The batch-scoped baseline: the same arrivals served by greedy
-/// Scheduler runs — each run takes everything that has arrived, and
-/// later arrivals WAIT until the whole run finishes (the straggler
-/// effect the engine removes).
-StreamOutcome streamThroughScheduler(const core::Decompiler &Slade,
-                                     const CliOptions &O,
-                                     const std::vector<StreamItem> &Items) {
-  serve::Scheduler Sched(Slade, O.Serve);
-  StreamOutcome SO;
-  size_t N = Items.size();
-  SO.Results.resize(N);
-  SO.Latency.resize(N);
-  SO.QueueWait.resize(N);
-  auto Start = std::chrono::steady_clock::now();
-  auto Since = [&Start]() {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         Start)
-        .count();
-  };
-  size_t I = 0;
-  while (I < N) {
-    if (Since() < Items[I].ArriveAt)
-      std::this_thread::sleep_until(
-          Start + std::chrono::duration<double>(Items[I].ArriveAt));
-    // Greedy batch: everything that has arrived by now.
-    double Now = Since();
-    size_t Lo = I;
-    while (I < N && Items[I].ArriveAt <= Now)
-      ++I;
-    double BatchStart = Since();
-    std::vector<core::EvalTask> Tasks;
-    std::vector<serve::TranslateJob> Jobs;
-    for (size_t J = Lo; J < I; ++J) {
-      if (Items[J].Task)
-        Tasks.push_back(*Items[J].Task);
-      else
-        Jobs.push_back({Items[J].Name, Items[J].Asm});
-    }
-    std::vector<core::HypothesisOutcome> TaskOut;
-    std::vector<serve::TranslateResult> JobOut;
-    if (!Tasks.empty())
-      TaskOut = Sched.decompileAll(Tasks);
-    if (!Jobs.empty())
-      JobOut = Sched.translate(Jobs);
-    double BatchEnd = Since();
-    size_t TI = 0, JI = 0;
-    for (size_t J = Lo; J < I; ++J) {
-      serve::RequestResult &R = SO.Results[J];
-      R.Name = Items[J].Name;
-      if (Items[J].Task) {
-        R.Outcome = TaskOut[TI++];
-        R.CSource = R.Outcome.CSource;
-        R.Verified = true;
-      } else {
-        R.CSource = JobOut[JI++].CSource;
-      }
-      SO.QueueWait[J] = BatchStart - Items[J].ArriveAt;
-      SO.Latency[J] = BatchEnd - Items[J].ArriveAt;
-    }
-  }
-  SO.WallSeconds = Since();
-  SO.FnPerSec =
-      SO.WallSeconds > 0 ? static_cast<double>(N) / SO.WallSeconds : 0;
-  return SO;
-}
-
 void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
   serve::LatencyStats QW = SO.queueWait(), L = SO.latency();
-  size_t Served = SO.HasEngine ? SO.Latency.size() : SO.Results.size();
+  const serve::EngineMetrics &EM = SO.Engine;
   std::fprintf(
       stderr,
       "[%s] %zu requests (%zu served) in %.3fs = %.2f fn/s; served queue "
       "wait p50/p95/p99 %.1f/%.1f/%.1f ms; served latency p50/p95/p99 "
       "%.1f/%.1f/%.1f ms\n",
-      Label, SO.Results.size(), Served, SO.WallSeconds, SO.FnPerSec,
-      1e3 * QW.P50, 1e3 * QW.P95, 1e3 * QW.P99, 1e3 * L.P50, 1e3 * L.P95,
-      1e3 * L.P99);
-  if (!SO.HasEngine)
-    return;
-  const serve::EngineMetrics &EM = SO.Engine;
+      Label, SO.Results.size(), SO.Latency.size(), SO.WallSeconds,
+      SO.FnPerSec, 1e3 * QW.P50, 1e3 * QW.P95, 1e3 * QW.P99, 1e3 * L.P50,
+      1e3 * L.P95, 1e3 * L.P99);
+  std::fprintf(stderr,
+               "[%s] encode %.3fs, decode %.3fs, verify %.3fs; %zu fused; "
+               "encoder cache %llu hits / %llu misses = %.0f%% hit rate, "
+               "cold encode %.2f ms mean, %.1f KiB cached\n",
+               Label, EM.EncodeSeconds, EM.DecodeSeconds, EM.VerifySeconds,
+               EM.FusedJobs,
+               static_cast<unsigned long long>(SO.EncoderRun.Hits),
+               static_cast<unsigned long long>(SO.EncoderRun.Misses),
+               100.0 * SO.encoderHitRate(), SO.coldEncodeMsMean(),
+               static_cast<double>(SO.EncoderCacheBytes) / 1024.0);
   if (EM.Shed + EM.Expired + EM.Cancelled + EM.ShutDown + EM.EncodeFailed +
           EM.VerifyFailed + EM.VerifyTimeouts + EM.VerifyRetries >
       0)
@@ -830,8 +692,12 @@ void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
   std::fprintf(stderr, "\n");
 }
 
+/// The one summary JSONL object per run, written after the per-function
+/// results: machine-readable counters that make the encode-bound vs.
+/// decode-bound regime visible in the output stream.
 std::string streamJson(const char *Label, const StreamOutcome &SO) {
   serve::LatencyStats QW = SO.queueWait(), L = SO.latency();
+  const serve::EngineMetrics &EM = SO.Engine;
   std::ostringstream SS;
   SS << "{\"type\": \"summary\", \"label\": \"" << serve::jsonEscape(Label)
      << "\", \"jobs\": " << SO.Results.size()
@@ -842,42 +708,47 @@ std::string streamJson(const char *Label, const StreamOutcome &SO) {
      << ", \"queue_wait_p99_s\": " << QW.P99
      << ", \"latency_p50_s\": " << L.P50
      << ", \"latency_p95_s\": " << L.P95
-     << ", \"latency_p99_s\": " << L.P99;
-  if (SO.HasEngine) {
-    const serve::EngineMetrics &EM = SO.Engine;
-    SS << ", \"served\": " << SO.Latency.size()
-       << ", \"shed\": " << EM.Shed << ", \"expired\": " << EM.Expired
-       << ", \"cancelled\": " << EM.Cancelled
-       << ", \"shutdown\": " << EM.ShutDown
-       << ", \"encode_failed\": " << EM.EncodeFailed
-       << ", \"verify_failed\": " << EM.VerifyFailed
-       << ", \"verify_timeouts\": " << EM.VerifyTimeouts
-       << ", \"verify_retries\": " << EM.VerifyRetries
-       << ", \"drain_ms\": " << EM.DrainMs
-       << ", \"beams_killed\": " << EM.BeamsKilled
-       << ", \"tokens_masked\": " << EM.TokensMasked
-       << ", \"oracle_s\": " << EM.OracleSeconds
-       << ", \"draft_proposed\": " << EM.DraftProposed
-       << ", \"draft_accepted\": " << EM.DraftAccepted
-       << ", \"spec_rounds\": " << EM.SpecRounds
-       << ", \"spec_fallbacks\": " << EM.SpecFallbacks
-       << ", \"draft_s\": " << EM.DraftSeconds
-       << ", \"deduped_in_flight\": " << EM.InFlightDeduped
-       << ", \"decode_cache_hits\": " << EM.DecodeCacheHits
-       << ", \"decode_cache_misses\": " << EM.DecodeCacheMisses
-       << ", \"decode_cache_bytes\": " << EM.DecodeCacheBytes
-       << ", \"shards\": [";
-    for (size_t S = 0; S < EM.Shards.size(); ++S) {
-      if (S)
-        SS << ", ";
-      SS << "{\"sources\": " << EM.Shards[S].Sources
-         << ", \"steps\": " << EM.Shards[S].Steps
-         << ", \"step_rows\": " << EM.Shards[S].StepRows
-         << ", \"decode_s\": " << EM.Shards[S].DecodeSeconds << "}";
-    }
-    SS << "]";
+     << ", \"latency_p99_s\": " << L.P99
+     << ", \"encode_s\": " << EM.EncodeSeconds
+     << ", \"decode_s\": " << EM.DecodeSeconds
+     << ", \"verify_s\": " << EM.VerifySeconds
+     << ", \"fused\": " << EM.FusedJobs
+     << ", \"encoder_cache_hits\": " << SO.EncoderRun.Hits
+     << ", \"encoder_cache_misses\": " << SO.EncoderRun.Misses
+     << ", \"encoder_hit_rate\": " << SO.encoderHitRate()
+     << ", \"cold_encode_ms_mean\": " << SO.coldEncodeMsMean()
+     << ", \"encoder_cache_bytes\": " << SO.EncoderCacheBytes
+     << ", \"served\": " << SO.Latency.size()
+     << ", \"shed\": " << EM.Shed << ", \"expired\": " << EM.Expired
+     << ", \"cancelled\": " << EM.Cancelled
+     << ", \"shutdown\": " << EM.ShutDown
+     << ", \"encode_failed\": " << EM.EncodeFailed
+     << ", \"verify_failed\": " << EM.VerifyFailed
+     << ", \"verify_timeouts\": " << EM.VerifyTimeouts
+     << ", \"verify_retries\": " << EM.VerifyRetries
+     << ", \"drain_ms\": " << EM.DrainMs
+     << ", \"beams_killed\": " << EM.BeamsKilled
+     << ", \"tokens_masked\": " << EM.TokensMasked
+     << ", \"oracle_s\": " << EM.OracleSeconds
+     << ", \"draft_proposed\": " << EM.DraftProposed
+     << ", \"draft_accepted\": " << EM.DraftAccepted
+     << ", \"spec_rounds\": " << EM.SpecRounds
+     << ", \"spec_fallbacks\": " << EM.SpecFallbacks
+     << ", \"draft_s\": " << EM.DraftSeconds
+     << ", \"deduped_in_flight\": " << EM.InFlightDeduped
+     << ", \"decode_cache_hits\": " << EM.DecodeCacheHits
+     << ", \"decode_cache_misses\": " << EM.DecodeCacheMisses
+     << ", \"decode_cache_bytes\": " << EM.DecodeCacheBytes
+     << ", \"shards\": [";
+  for (size_t S = 0; S < EM.Shards.size(); ++S) {
+    if (S)
+      SS << ", ";
+    SS << "{\"sources\": " << EM.Shards[S].Sources
+       << ", \"steps\": " << EM.Shards[S].Steps
+       << ", \"step_rows\": " << EM.Shards[S].StepRows
+       << ", \"decode_s\": " << EM.Shards[S].DecodeSeconds << "}";
   }
-  SS << "}";
+  SS << "]}";
   return SS.str();
 }
 
@@ -934,8 +805,8 @@ int main(int argc, char **argv) {
   }
 
   // -- assemble the job list --------------------------------------------------
-  std::vector<serve::TranslateJob> AsmJobs;
   std::vector<core::EvalTask> Tasks; // Verified (function+context) jobs.
+  std::vector<StreamItem> AsmJobs;   // Raw translation jobs.
 
   if (O.DemoN > 0) {
     std::fprintf(stderr, "[serve] generating %d demo functions...\n",
@@ -966,7 +837,7 @@ int main(int argc, char **argv) {
     std::vector<dataset::Sample> FnSamples;
     for (serve::CorpusEntry &E : *Entries) {
       if (!E.Asm.empty()) {
-        AsmJobs.push_back({E.Name, E.Asm});
+        AsmJobs.push_back({E.Name, nullptr, E.Asm, 0});
         continue;
       }
       dataset::Sample S;
@@ -994,7 +865,7 @@ int main(int argc, char **argv) {
     }
     std::ostringstream SS;
     SS << In.rdbuf();
-    AsmJobs.push_back({Path, SS.str()});
+    AsmJobs.push_back({Path, nullptr, SS.str(), 0});
   }
   if (AsmJobs.empty() && Tasks.empty()) {
     std::fprintf(stderr, "error: no servable jobs\n");
@@ -1009,7 +880,7 @@ int main(int argc, char **argv) {
                          /*DecodeCacheCap=*/256,
                          static_cast<size_t>(O.DecCacheMb) << 20);
 
-  if (O.Speculate != nn::SpecMode::Off) {
+  if (O.Engine.Speculate != nn::SpecMode::Off) {
     // Distill the 1-layer draft proposer once at startup from this run's
     // own sources (deterministic; nn/DraftModel.h). The draft only ever
     // proposes — every committed step is full-model verified — so a
@@ -1017,7 +888,7 @@ int main(int argc, char **argv) {
     std::vector<std::vector<int>> Sources;
     for (const core::EvalTask &T : Tasks)
       Sources.push_back(Slade.tokenizer().encode(T.Prog.TargetAsm));
-    for (const serve::TranslateJob &J : AsmJobs)
+    for (const StreamItem &J : AsmJobs)
       Sources.push_back(Slade.tokenizer().encode(J.Asm));
     size_t Cap = static_cast<size_t>(
         std::max(1, envInt("SLADE_SERVE_DRAFT_SOURCES", 12)));
@@ -1026,7 +897,7 @@ int main(int argc, char **argv) {
     nn::DraftConfig DC;
     DC.Steps = envInt("SLADE_SERVE_DRAFT_STEPS", 120);
     DC.MaxTeacherLen = std::min(
-        O.Serve.MaxLen, envInt("SLADE_SERVE_DRAFT_TEACHER_LEN", 96));
+        O.Engine.MaxLen, envInt("SLADE_SERVE_DRAFT_TEACHER_LEN", 96));
     auto T0 = std::chrono::steady_clock::now();
     Slade.attachDraft(std::make_shared<const nn::DraftModel>(
         nn::DraftModel::distill(Slade.model(), Sources, DC)));
@@ -1036,23 +907,20 @@ int main(int argc, char **argv) {
     std::fprintf(stderr,
                  "[serve] distilled draft decoder from %zu source(s) in "
                  "%.2fs (gamma %d)\n",
-                 Sources.size(), Secs, O.Serve.DraftGamma);
+                 Sources.size(), Secs, O.Engine.DraftGamma);
   }
 
   // -- observability ----------------------------------------------------------
-  // One registry for the whole process: every engine (streaming or inside
-  // a Scheduler run) registers its instruments here, so a single scrape
-  // covers all of them. Declared before the Scheduler so it outlives
-  // every engine that points at it.
+  // One registry for the whole process, declared before the engine so it
+  // outlives it.
   obs::Registry Reg;
-  O.Serve.Metrics = &Reg;
+  O.Engine.Metrics = &Reg;
   if (!O.TraceOut.empty())
     obs::trace().enable(static_cast<uint32_t>(O.TraceSample), O.TraceSeed);
   if (!O.MetricsOut.empty())
     std::signal(SIGUSR1, onMetricsSignal);
-  // Trace export requires quiescence: called only after every engine has
-  // been destroyed (stream replay scope / scheduler runs), right before
-  // exit.
+  // Trace export requires quiescence: called only after the engine has
+  // been destroyed, right before exit.
   auto FinishObs = [&O, &Reg](bool MetricsAlreadyWritten) {
     if (!O.TraceOut.empty()) {
       obs::TraceRecorder &TR = obs::trace();
@@ -1074,8 +942,6 @@ int main(int argc, char **argv) {
                    O.MetricsOut.c_str());
   };
 
-  serve::Scheduler Sched(Slade, O.Serve);
-
   std::ofstream OutFile;
   if (!O.OutPath.empty()) {
     OutFile.open(O.OutPath);
@@ -1088,247 +954,135 @@ int main(int argc, char **argv) {
                               ? static_cast<std::ostream &>(OutFile)
                               : std::cout;
 
-  int ExitCode = 0;
-  ParseGate Gate;
-  Gate.Active = O.Constrain == nn::ConstrainMode::Syntax;
-
-  // -- streaming replay --------------------------------------------------------
-  if (O.Stream) {
-    std::vector<StreamItem> Items;
-    for (const core::EvalTask &T : Tasks)
-      Items.push_back({T.Name, &T, "", 0});
-    for (const serve::TranslateJob &J : AsmJobs)
-      Items.push_back({J.Name, nullptr, J.Asm, 0});
-    double Rate = O.Rate > 0
-                      ? O.Rate
-                      : static_cast<double>(std::max<size_t>(1, Items.size()));
-    assignArrivals(Items, Rate, O.ArrivalSeed);
-    std::fprintf(stderr,
-                 "[stream] replaying %zu requests, Poisson rate %.1f/s "
-                 "(seed %llu), %d shard(s) x %d live sources, queue %d\n",
-                 Items.size(), Rate,
-                 static_cast<unsigned long long>(O.ArrivalSeed),
-                 serve::resolveShardCount(O.Shards), O.MaxLive, O.QueueCap);
-
-    StreamOutcome Eng = streamThroughEngine(Slade, O, Items);
-    printStreamMetrics("stream", Eng);
-
-    if (O.StreamCompare) {
-      Slade.clearEncoderCache(); // Cold-for-cold, as in the batch modes.
-      Slade.clearDecodeCache();  // (The scheduler never consults it, but
-                                 // keep the baseline's caches empty.)
-      StreamOutcome Batch = streamThroughScheduler(Slade, O, Items);
-      printStreamMetrics("stream-batch", Batch);
-      double BatchP95 = Batch.latency().P95, EngP95 = Eng.latency().P95;
-      std::fprintf(
-          stderr,
-          "[stream-compare] p95 latency %.1f -> %.1f ms (%.2fx), "
-          "throughput %.2f -> %.2f fn/s\n",
-          1e3 * BatchP95, 1e3 * EngP95,
-          BatchP95 / std::max(1e-9, EngP95), Batch.FnPerSec,
-          Eng.FnPerSec);
-      Results << streamJson("stream-batch", Batch) << "\n";
+  // -- serve ------------------------------------------------------------------
+  std::vector<StreamItem> Items;
+  for (const core::EvalTask &T : Tasks)
+    Items.push_back({T.Name, &T, "", 0});
+  Items.insert(Items.end(), AsmJobs.begin(), AsmJobs.end());
+  const char *Label = O.Stream ? "stream" : "serve";
+  const bool RunEngine = !O.Sequential || O.Check;
+  StreamOutcome Served;
+  if (RunEngine) {
+    int Shards = serve::resolveShardCount(O.Engine.Shards);
+    if (O.Stream) {
+      double Rate = O.Rate > 0 ? O.Rate
+                               : static_cast<double>(
+                                     std::max<size_t>(1, Items.size()));
+      assignArrivals(Items, Rate, O.ArrivalSeed);
+      std::fprintf(stderr,
+                   "[stream] replaying %zu requests, Poisson rate %.1f/s "
+                   "(seed %llu), %d shard(s) x %d live sources, queue "
+                   "%zu\n",
+                   Items.size(), Rate,
+                   static_cast<unsigned long long>(O.ArrivalSeed), Shards,
+                   O.Engine.MaxLiveSources, O.Engine.QueueCapacity);
+    } else {
+      std::fprintf(stderr,
+                   "[serve] submitting %zu requests at once, %d shard(s) "
+                   "x %d live sources, queue %zu\n",
+                   Items.size(), Shards, O.Engine.MaxLiveSources,
+                   O.Engine.QueueCapacity);
     }
+    Served = replayThroughEngine(Slade, O, Items);
+    printStreamMetrics(Label, Served);
+  }
 
-    if (O.Check) {
-      // Byte-identity oracle: one sequential Decompiler call per request
-      // from cold caches — arrival order, shard placement, and row
-      // recycling must not change any output. (The sequential path never
-      // consults the decode LRU, so a cached-hit result is compared
-      // against a genuinely re-decoded one.)
-      Slade.clearEncoderCache();
-      Slade.clearDecodeCache();
-      core::Decompiler::Options DOpts;
-      DOpts.BeamSize = O.Serve.BeamSize;
-      DOpts.MaxLen = O.Serve.MaxLen;
-      DOpts.UseTypeInference = O.Serve.UseTypeInference;
-      DOpts.VerifyThreads = 1;
-      DOpts.Constrain = O.Constrain;
-      size_t Mismatches = 0, Checked = 0;
-      for (size_t I = 0; I < Items.size(); ++I) {
-        // The oracle covers SERVED requests whose verification ran
-        // unimpaired: shed/expired/cancelled requests never produced a
-        // payload, and a Degraded result lost a candidate to a
-        // contained fault or timeout, so its verify selection may
-        // legitimately differ from the unbounded sequential run.
-        if (!Eng.Results[I].ok() || Eng.Results[I].Degraded)
-          continue;
-        ++Checked;
-        if (Items[I].Task) {
-          core::HypothesisOutcome Seq =
-              Slade.decompile(*Items[I].Task, DOpts);
-          if (Eng.Results[I].CSource != Seq.CSource ||
-              Eng.Results[I].Outcome.IOCorrect != Seq.IOCorrect)
-            ++Mismatches;
-        } else {
-          std::string Seq = Slade.translate(
-              Items[I].Asm, O.Serve.BeamSize, O.Serve.MaxLen,
-              O.Constrain);
-          if (Eng.Results[I].CSource != Seq)
-            ++Mismatches;
-        }
+  int ExitCode = 0;
+  if (O.Sequential || O.Check) {
+    // Baseline and byte-identity oracle: one sequential Decompiler call
+    // per request from cold caches — submission order, shard placement,
+    // and row recycling must not change any output. (The sequential path
+    // never consults the decode LRU, so a cached-hit result is compared
+    // against a genuinely re-decoded one.) The oracle covers SERVED
+    // requests whose verification ran unimpaired: shed/expired/cancelled
+    // requests never produced a payload, and a Degraded result lost a
+    // candidate to a contained fault or timeout, so its verify selection
+    // may legitimately differ from the unbounded sequential run.
+    Slade.clearEncoderCache();
+    Slade.clearDecodeCache();
+    core::Decompiler::Options DOpts;
+    DOpts.BeamSize = O.Engine.BeamSize;
+    DOpts.MaxLen = O.Engine.MaxLen;
+    DOpts.UseTypeInference = O.Engine.UseTypeInference;
+    DOpts.VerifyThreads = 1;
+    DOpts.Constrain = O.Engine.Constrain;
+    std::vector<serve::RequestResult> Seq(Items.size());
+    size_t Checked = 0, Mismatches = 0;
+    auto T0 = std::chrono::steady_clock::now();
+    for (size_t I = 0; I < Items.size(); ++I) {
+      if (RunEngine &&
+          (!Served.Results[I].ok() || Served.Results[I].Degraded))
+        continue;
+      ++Checked;
+      serve::RequestResult &R = Seq[I];
+      if (Items[I].Task) {
+        R.Outcome = Slade.decompile(*Items[I].Task, DOpts);
+        R.CSource = R.Outcome.CSource;
+        R.Verified = true;
+      } else {
+        R.CSource = Slade.translate(Items[I].Asm, O.Engine.BeamSize,
+                                    O.Engine.MaxLen, O.Engine.Constrain);
       }
+      if (RunEngine &&
+          (Served.Results[I].CSource != R.CSource ||
+           Served.Results[I].Outcome.IOCorrect != R.Outcome.IOCorrect))
+        ++Mismatches;
+    }
+    double Secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+    std::fprintf(stderr,
+                 "[sequential] %zu functions in %.3fs = %.2f fn/s\n",
+                 Checked, Secs, static_cast<double>(Checked) / Secs);
+    if (O.Check) {
       std::fprintf(stderr,
                    "[check] %zu/%zu byte-identical outputs (%zu of %zu "
                    "requests served undegraded and checked)\n",
                    Checked - Mismatches, Checked, Checked, Items.size());
       if (Mismatches) {
-        std::fprintf(stderr, "error: streamed != sequential outputs\n");
+        std::fprintf(stderr, "error: served != sequential outputs\n");
         ExitCode = 1;
       }
     }
-
-    for (size_t I = 0; I < Items.size(); ++I) {
-      const serve::RequestResult &R = Eng.Results[I];
-      if (!R.ok()) {
-        Results << "{\"name\": \"" << serve::jsonEscape(R.Name)
-                << "\", \"status\": \""
-                << serve::requestStatusName(R.Status) << "\"}\n";
-        continue;
-      }
-      Gate.check(R.Name, R.CSource);
-      if (R.Verified)
-        Results << outcomeJson(R.Name, R.Outcome) << "\n";
-      else
-        Results << "{\"name\": \"" << serve::jsonEscape(R.Name)
-                << "\", \"c\": \"" << serve::jsonEscape(R.CSource)
-                << "\"}\n";
-    }
-    Results << streamJson("stream", Eng) << "\n";
-    if (int GateRc = Gate.finish())
-      ExitCode = GateRc;
-    FinishObs(/*MetricsAlreadyWritten=*/true);
-    return ExitCode;
+    if (!RunEngine)
+      Served.Results = std::move(Seq);
   }
 
-  // -- verified (full pipeline) jobs ------------------------------------------
-  if (!Tasks.empty()) {
-    std::vector<core::HypothesisOutcome> Served;
-    if (!O.Sequential || O.Check)
-      Served = Sched.decompileAll(Tasks);
-    serve::ServeMetrics ServedM = Sched.metrics();
-    if (!O.Sequential || O.Check)
-      printMetrics("serve", ServedM);
-
-    if (O.Sequential || O.Check) {
-      // Baseline: the pre-serving behavior — one Decompiler::decompile
-      // call per task, candidates verified sequentially.
-      core::Decompiler::Options DOpts;
-      DOpts.BeamSize = O.Serve.BeamSize;
-      DOpts.MaxLen = O.Serve.MaxLen;
-      DOpts.UseTypeInference = O.Serve.UseTypeInference;
-      DOpts.VerifyThreads = 1;
-      DOpts.Constrain = O.Constrain;
-      // Cold-for-cold comparison: the serve run encoded every source
-      // already, so drop the cache or the baseline would skip its whole
-      // encode phase.
-      Slade.clearEncoderCache();
-      auto T0 = std::chrono::steady_clock::now();
-      std::vector<core::HypothesisOutcome> Seq;
-      Seq.reserve(Tasks.size());
-      for (const core::EvalTask &T : Tasks)
-        Seq.push_back(Slade.decompile(T, DOpts));
-      double Secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        T0)
-              .count();
-      std::fprintf(stderr,
-                   "[sequential] %zu functions in %.3fs = %.2f fn/s\n",
-                   Tasks.size(), Secs,
-                   static_cast<double>(Tasks.size()) / Secs);
-      if (O.Check) {
-        size_t Mismatches = 0;
-        for (size_t I = 0; I < Tasks.size(); ++I)
-          if (Served[I].CSource != Seq[I].CSource ||
-              Served[I].IOCorrect != Seq[I].IOCorrect)
-            ++Mismatches;
-        std::fprintf(stderr,
-                     "[check] %zu/%zu byte-identical outputs; speedup "
-                     "%.2fx\n",
-                     Tasks.size() - Mismatches, Tasks.size(),
-                     Secs / ServedM.TotalSeconds);
-        if (Mismatches) {
-          std::fprintf(stderr, "error: served != sequential outputs\n");
-          ExitCode = 1;
-        }
-      }
-      if (O.Sequential && !O.Check)
-        Served = std::move(Seq);
+  ParseGate Gate;
+  Gate.Active = O.Engine.Constrain == nn::ConstrainMode::Syntax;
+  size_t IOCorrect = 0, Compiles = 0;
+  for (size_t I = 0; I < Items.size(); ++I) {
+    // Names come from the items: the engine returns an empty
+    // RequestResult::Name for a duplicate that attached in flight.
+    const std::string &Name = Items[I].Name;
+    const serve::RequestResult &R = Served.Results[I];
+    if (!R.ok()) {
+      Results << "{\"name\": \"" << serve::jsonEscape(Name)
+              << "\", \"status\": \"" << serve::requestStatusName(R.Status)
+              << "\"}\n";
+      continue;
     }
-
-    size_t IOCorrect = 0, Compiles = 0;
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      Gate.check(Tasks[I].Name, Served[I].CSource);
-      Results << outcomeJson(Tasks[I].Name, Served[I]) << "\n";
-      IOCorrect += Served[I].IOCorrect;
-      Compiles += Served[I].Compiles;
+    Gate.check(Name, R.CSource);
+    if (R.Verified) {
+      Results << outcomeJson(Name, R.Outcome) << "\n";
+      IOCorrect += R.Outcome.IOCorrect;
+      Compiles += R.Outcome.Compiles;
+    } else {
+      Results << "{\"name\": \"" << serve::jsonEscape(Name)
+              << "\", \"c\": \"" << serve::jsonEscape(R.CSource) << "\"}\n";
     }
-    if (!O.Sequential || O.Check)
-      Results << metricsJson("serve", ServedM) << "\n";
+  }
+  if (RunEngine)
+    Results << streamJson(Label, Served) << "\n";
+  if (!Tasks.empty())
     std::fprintf(stderr,
-                 "[serve] IO-correct %zu/%zu (%.1f%%), compiles %zu/%zu\n",
-                 IOCorrect, Tasks.size(),
+                 "[%s] IO-correct %zu/%zu (%.1f%%), compiles %zu/%zu\n",
+                 Label, IOCorrect, Tasks.size(),
                  100.0 * static_cast<double>(IOCorrect) /
                      static_cast<double>(Tasks.size()),
                  Compiles, Tasks.size());
-  }
-
-  // -- raw translation jobs ----------------------------------------------------
-  if (!AsmJobs.empty()) {
-    std::vector<serve::TranslateResult> Served;
-    if (!O.Sequential || O.Check)
-      Served = Sched.translate(AsmJobs);
-    serve::ServeMetrics ServedM = Sched.metrics();
-    if (!O.Sequential || O.Check)
-      printMetrics("serve", ServedM);
-
-    if (O.Sequential || O.Check) {
-      Slade.clearEncoderCache(); // Cold-for-cold, as above.
-      auto T0 = std::chrono::steady_clock::now();
-      std::vector<serve::TranslateResult> Seq(AsmJobs.size());
-      for (size_t I = 0; I < AsmJobs.size(); ++I) {
-        Seq[I].Name = AsmJobs[I].Name;
-        Seq[I].CSource = Slade.translate(AsmJobs[I].Asm, O.Serve.BeamSize,
-                                         O.Serve.MaxLen, O.Constrain);
-      }
-      double Secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        T0)
-              .count();
-      std::fprintf(stderr,
-                   "[sequential] %zu functions in %.3fs = %.2f fn/s\n",
-                   AsmJobs.size(), Secs,
-                   static_cast<double>(AsmJobs.size()) / Secs);
-      if (O.Check) {
-        size_t Mismatches = 0;
-        for (size_t I = 0; I < AsmJobs.size(); ++I)
-          if (Served[I].CSource != Seq[I].CSource)
-            ++Mismatches;
-        std::fprintf(stderr,
-                     "[check] %zu/%zu byte-identical outputs; speedup "
-                     "%.2fx\n",
-                     AsmJobs.size() - Mismatches, AsmJobs.size(),
-                     Secs / ServedM.TotalSeconds);
-        if (Mismatches) {
-          std::fprintf(stderr, "error: served != sequential outputs\n");
-          ExitCode = 1;
-        }
-      }
-      if (O.Sequential && !O.Check)
-        Served = std::move(Seq);
-    }
-
-    for (const serve::TranslateResult &R : Served) {
-      Gate.check(R.Name, R.CSource);
-      Results << "{\"name\": \"" << serve::jsonEscape(R.Name)
-              << "\", \"c\": \"" << serve::jsonEscape(R.CSource) << "\"}\n";
-    }
-    if (!O.Sequential || O.Check)
-      Results << metricsJson("translate", ServedM) << "\n";
-  }
-
   if (int GateRc = Gate.finish())
     ExitCode = GateRc;
-  FinishObs(/*MetricsAlreadyWritten=*/false);
+  FinishObs(/*MetricsAlreadyWritten=*/RunEngine);
   return ExitCode;
 }
