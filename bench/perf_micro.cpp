@@ -15,10 +15,8 @@
 #include "nn/Attention.h"
 #include "nn/Beam.h"
 #include "nn/BeamCore.h"
-#include "nn/DraftModel.h"
 #include "nn/Mat.h"
 #include "nn/Parallel.h"
-#include "nn/SpecDecode.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "serve/Engine.h"
@@ -135,60 +133,6 @@ void BM_Gemm64Naive(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 64 * 64 * 64 * 2);
 }
 BENCHMARK(BM_Gemm64Naive);
-
-/// Int8 row-quantized GEMM (the draft decoder's matmul) at BM_Gemm64's
-/// shape, including the per-step activation requantize the draft pays:
-/// per-row absmax, exact int32 dots, dequantization fused into the
-/// final scale multiply.
-void BM_Int8Gemm64(benchmark::State &State) {
-  std::vector<float> A(64 * 64), B(64 * 64);
-  for (size_t I = 0; I < A.size(); ++I) {
-    A[I] = static_cast<float>((I * 37) % 64) / 64.0f - 0.5f;
-    B[I] = static_cast<float>((I * 53) % 64) / 64.0f - 0.5f;
-  }
-  nn::QuantizedMat QB = nn::quantizeRowsI8(B.data(), 64, 64);
-  std::vector<float> C(64 * 64);
-  nn::QuantizedMat QA;
-  for (auto _ : State) {
-    nn::quantizeRowsI8Into(A.data(), 64, 64, QA);
-    std::fill(C.begin(), C.end(), 0.0f);
-    nn::gemmI8NT(QA, QB, C.data());
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.SetItemsProcessed(State.iterations() * 64 * 64 * 64 * 2);
-}
-BENCHMARK(BM_Int8Gemm64);
-
-/// The draft's actual regime: a handful of decode rows against a weight
-/// matrix too big for cache (the logits projection). Here int8 wins by
-/// streaming a quarter of the bytes, which is the point of quantizing
-/// the draft — arg 0 = float gemmAccNT baseline, arg 1 = int8.
-void BM_GemmLogitsShape(benchmark::State &State) {
-  const int M = 5, K = 256, N = 4096;
-  std::vector<float> A(static_cast<size_t>(M) * K),
-      B(static_cast<size_t>(N) * K), C(static_cast<size_t>(M) * N);
-  for (size_t I = 0; I < A.size(); ++I)
-    A[I] = static_cast<float>((I * 37) % 64) / 64.0f - 0.5f;
-  for (size_t I = 0; I < B.size(); ++I)
-    B[I] = static_cast<float>((I * 53) % 64) / 64.0f - 0.5f;
-  const bool Int8 = State.range(0) != 0;
-  nn::QuantizedMat QB;
-  if (Int8)
-    QB = nn::quantizeRowsI8(B.data(), N, K);
-  nn::QuantizedMat QA;
-  for (auto _ : State) {
-    std::fill(C.begin(), C.end(), 0.0f);
-    if (Int8) {
-      nn::quantizeRowsI8Into(A.data(), M, K, QA);
-      nn::gemmI8NT(QA, QB, C.data());
-    } else {
-      nn::gemmAccNT(A.data(), B.data(), C.data(), M, K, N);
-    }
-    benchmark::DoNotOptimize(C.data());
-  }
-  State.SetItemsProcessed(State.iterations() * 2LL * M * K * N);
-}
-BENCHMARK(BM_GemmLogitsShape)->Arg(0)->Arg(1);
 
 void BM_EditDistance(benchmark::State &State) {
   std::string A(SumSrc), B(SumSrc);
@@ -592,137 +536,6 @@ void BM_BeamSearchSequential(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BeamSearchSequential)->Unit(benchmark::kMillisecond);
-
-/// Eight deterministic synthetic sources of \p TSrc tokens each.
-std::vector<std::vector<int>> multiBenchSources(int TSrc) {
-  std::vector<std::vector<int>> Srcs;
-  for (int S = 0; S < 8; ++S) {
-    std::vector<int> Src;
-    for (int I = 0; I < TSrc; ++I)
-      Src.push_back(3 + (S * 31 + I * 7) % 500);
-    Srcs.push_back(std::move(Src));
-  }
-  return Srcs;
-}
-
-/// Speculative vs. plain beam decode over one pre-encoded source.
-/// Args: (BeamSize, DraftGamma); gamma 0 is the plain baseline the
-/// same-beam speculative rows are measured against. The distilled
-/// 1-layer draft is built once and shared; the "accept" counter reports
-/// the measured acceptance rate (%), which is what decides whether a
-/// gamma pays — beam-step proposals must match the full model's exact
-/// survivor selection, so acceptance falls as the beam widens (the
-/// serving AUTO gate demotes those requests to plain decode).
-const nn::Transformer &specBenchModel() {
-  static nn::Transformer *M = [] {
-    nn::TransformerConfig MC;
-    // Big enough to be memory-bound: per-step weight streaming is what
-    // the batched verify amortizes, so a cache-resident toy model would
-    // measure only the speculation overhead, never its win.
-    MC.Vocab = 4096;
-    MC.DModel = 256;
-    MC.FF = 1024;
-    MC.NHeads = 4;
-    MC.EncLayers = 2;
-    MC.DecLayers = 4; // Deep full model vs. the 1-layer draft.
-    return new nn::Transformer(MC);
-  }();
-  return *M;
-}
-
-const nn::DraftModel &specBenchDraft() {
-  static nn::DraftModel *D = [] {
-    nn::DraftConfig DC;
-    DC.Steps = 200;
-    DC.MaxTeacherLen = 64;
-    return new nn::DraftModel(nn::DraftModel::distill(
-        specBenchModel(), multiBenchSources(64), DC));
-  }();
-  return *D;
-}
-
-void BM_SpecDecode(benchmark::State &State) {
-  const nn::Transformer &Model = specBenchModel();
-  auto Enc = Model.encodeSource(multiBenchSources(64)[0]);
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  nn::SpecStats Stats;
-  if (State.range(1) > 0) {
-    BC.Draft = &specBenchDraft().model();
-    BC.DraftGamma = static_cast<int>(State.range(1));
-    BC.SpecTelemetry = &Stats;
-  }
-  int64_t Tokens = 0;
-  for (auto _ : State) {
-    auto Hyps = nn::beamSearch(Model, Enc, BC);
-    benchmark::DoNotOptimize(Hyps);
-    Tokens += Hyps.empty()
-                  ? 0
-                  : static_cast<int64_t>(Hyps.front().Tokens.size());
-  }
-  State.SetItemsProcessed(Tokens);
-  if (Stats.Proposed)
-    State.counters["accept"] =
-        100.0 * static_cast<double>(Stats.Accepted) /
-        static_cast<double>(Stats.Proposed);
-}
-BENCHMARK(BM_SpecDecode)
-    ->Args({1, 0})
-    ->Args({1, 4})
-    ->Args({1, 7})
-    ->Args({5, 0})
-    ->Args({5, 4})
-    ->Unit(benchmark::kMillisecond);
-
-/// The AUTO gate's absorbing state, measured directly: a request demoted
-/// to gamma 0 keeps ticking through the speculative session (depth-0
-/// plan, exact verify, mirrored draft-state geometry, including the
-/// per-source draft cache derivation) but never consults the draft.
-/// Compare against BM_SpecDecode/<k>/0 — the delta is the worst-case
-/// steady-state overhead a gated request pays.
-void BM_SpecDecodeGated(benchmark::State &State) {
-  const nn::Transformer &Model = specBenchModel();
-  const nn::Transformer &Draft = specBenchDraft().model();
-  auto Enc = Model.encodeSource(multiBenchSources(64)[0]);
-  nn::BeamConfig BC;
-  BC.BeamSize = static_cast<int>(State.range(0));
-  BC.MaxLen = 64;
-  BC.Draft = &Draft;
-  BC.DraftGamma = 4; // Irrelevant: the job itself is gated to 0.
-  int64_t Tokens = 0;
-  for (auto _ : State) {
-    nn::Transformer::BatchDecodeState St =
-        Model.startDecodeBatchMulti({Enc}, BC.BeamSize, BC.MaxLen + 1);
-    nn::SpecSession Sess(Model, Draft);
-    Sess.initBatch({Enc}, BC.BeamSize, BC.MaxLen + 1);
-    std::vector<nn::beamcore::BeamMeta> Live(1);
-    std::vector<nn::Hypothesis> Done;
-    nn::beamcore::ConstraintCtx CC;
-    CC.init(BC);
-    nn::SpecSession::Job SJ;
-    SJ.Seg = 0;
-    SJ.Live = &Live;
-    SJ.Done = &Done;
-    SJ.CC = &CC;
-    SJ.Gamma = 0; // The gate's absorbing state.
-    nn::SpecStats Stats;
-    std::vector<nn::SpecSession::Job *> Jobs{&SJ};
-    while (!SJ.Finished)
-      Sess.runRound(St, Jobs, BC, Stats);
-    auto Hyps =
-        nn::beamcore::finalizeBeams(std::move(Live), std::move(Done), BC, &CC);
-    benchmark::DoNotOptimize(Hyps);
-    Tokens += Hyps.empty()
-                  ? 0
-                  : static_cast<int64_t>(Hyps.front().Tokens.size());
-  }
-  State.SetItemsProcessed(Tokens);
-}
-BENCHMARK(BM_SpecDecodeGated)
-    ->Arg(1)
-    ->Arg(5)
-    ->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // Streaming serve engine (continuous batching)

@@ -191,11 +191,6 @@ HypothesisOutcome Decompiler::decompile(const EvalTask &Task,
   if (Opts.Constrain == nn::ConstrainMode::Syntax)
     BC.Constraint = &vocabConstraint();
   BC.Stats = Opts.ConstraintStatsOut;
-  if (Opts.Speculate != nn::SpecMode::Off && Draft) {
-    BC.Draft = &Draft->model();
-    BC.DraftGamma = Opts.DraftGamma;
-    BC.SpecTelemetry = Opts.SpecStatsOut;
-  }
   std::vector<nn::Hypothesis> Hyps =
       nn::beamSearch(Model, encodeCached(Src), BC);
   if (Hyps.empty())

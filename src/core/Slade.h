@@ -14,7 +14,6 @@
 #include "core/Compile.h"
 #include "nn/Beam.h"
 #include "nn/DecodeLRU.h"
-#include "nn/DraftModel.h"
 #include "nn/EncoderLRU.h"
 #include "nn/Transformer.h"
 #include "support/ThreadPool.h"
@@ -143,16 +142,6 @@ public:
     nn::ConstrainMode Constrain = nn::ConstrainMode::Off;
     /// Optional sink for the constraint counters of this decompile call.
     nn::ConstraintStats *ConstraintStatsOut = nullptr;
-    /// Speculative decoding (--speculate). Requires a draft attached via
-    /// attachDraft; with none the decode silently runs plain. Solo
-    /// decompile has no acceptance gate (that is a serving concept), so
-    /// Auto behaves like On here. Outputs are byte-identical in every
-    /// mode — only throughput changes.
-    nn::SpecMode Speculate = nn::SpecMode::Off;
-    /// Draft proposal depth per speculative round.
-    int DraftGamma = 4;
-    /// Optional sink for this call's speculative telemetry.
-    nn::SpecStats *SpecStatsOut = nullptr;
   };
 
   /// Runs the pipeline on a task; candidates are tried in beam order and
@@ -183,16 +172,6 @@ public:
                nn::ParallelFor *TP = nullptr) const {
     return EncCache.get(Model, Src, TP);
   }
-
-  /// Attaches a distilled draft decoder (nn/DraftModel.h) for
-  /// speculative decoding. Decode paths opt in per call/engine
-  /// (Options::Speculate, serve::EngineOptions::Speculate); attaching
-  /// never changes any output by itself.
-  void attachDraft(std::shared_ptr<const nn::DraftModel> DM) const {
-    Draft = std::move(DM);
-  }
-  /// The attached draft, or nullptr (speculation unavailable).
-  const nn::DraftModel *draft() const { return Draft.get(); }
 
   const tok::Tokenizer &tokenizer() const { return Tok; }
   const nn::Transformer &model() const { return Model; }
@@ -229,9 +208,6 @@ private:
   /// once built; shared by all constrained decodes).
   mutable std::once_flag VCOnce;
   mutable std::unique_ptr<tok::VocabConstraint> VC;
-  /// Optional distilled draft decoder shared by every speculative
-  /// decode through this decompiler (solo and serving alike).
-  mutable std::shared_ptr<const nn::DraftModel> Draft;
 };
 
 } // namespace core

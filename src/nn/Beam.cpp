@@ -3,7 +3,6 @@
 #include "nn/Beam.h"
 
 #include "nn/BeamCore.h"
-#include "nn/SpecDecode.h"
 
 #include <algorithm>
 #include <cmath>
@@ -110,58 +109,11 @@ struct SequentialStepper {
   }
 };
 
-/// Speculative search loop: the same batched state and search state as
-/// beamSearchImpl, but every decode step runs through SpecSession
-/// propose/verify rounds. Byte-identical to the plain loop: every
-/// committed selection is a selectBeamStep over exact full-model logits
-/// (a round with gamma 0 IS a plain step), the draft only changes how
-/// many exact steps one batched call yields.
-std::vector<Hypothesis>
-beamSearchSpec(const Transformer &Model,
-               std::shared_ptr<const Transformer::EncoderCache> Enc,
-               const BeamConfig &Cfg) {
-  Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, Cfg.BeamSize, Cfg.MaxLen + 1);
-  SpecSession Sess(Model, *Cfg.Draft);
-  Sess.initBatch({std::move(Enc)}, Cfg.BeamSize, Cfg.MaxLen + 1);
-
-  // The BOS hypothesis; its feed is the first round's pending selection
-  // (SJ's default {0} -> {BOS}).
-  std::vector<BeamMeta> Live(1);
-  std::vector<Hypothesis> Done;
-  ConstraintCtx CC;
-  CC.init(Cfg);
-  SpecSession::Job SJ;
-  SJ.Live = &Live;
-  SJ.Done = &Done;
-  SJ.CC = &CC;
-  SJ.Gamma = Cfg.DraftGamma;
-  std::vector<SpecSession::Job *> Jobs{&SJ};
-
-  SpecStats Stats;
-  // Zero budget decodes nothing, as plain.
-  while (Cfg.MaxLen > 0 && !SJ.Finished)
-    Sess.runRound(St, Jobs, Cfg, Stats);
-  if (Cfg.SpecTelemetry) {
-    Cfg.SpecTelemetry->Proposed += Stats.Proposed;
-    Cfg.SpecTelemetry->Accepted += Stats.Accepted;
-    Cfg.SpecTelemetry->Rounds += Stats.Rounds;
-    Cfg.SpecTelemetry->DraftSeconds += Stats.DraftSeconds;
-  }
-  return finalizeBeams(std::move(Live), std::move(Done), Cfg, &CC);
-}
-
-bool speculative(const BeamConfig &Cfg) {
-  return Cfg.Draft != nullptr && Cfg.DraftGamma > 0;
-}
-
 } // namespace
 
 std::vector<Hypothesis> slade::nn::beamSearch(const Transformer &Model,
                                               const std::vector<int> &Src,
                                               const BeamConfig &Cfg) {
-  if (speculative(Cfg))
-    return beamSearch(Model, Model.encodeSource(Src), Cfg);
   BatchedStepper Step(Model, Src, Cfg);
   return beamSearchImpl(Step, Cfg);
 }
@@ -170,8 +122,6 @@ std::vector<Hypothesis>
 slade::nn::beamSearch(const Transformer &Model,
                       std::shared_ptr<const Transformer::EncoderCache> Enc,
                       const BeamConfig &Cfg) {
-  if (speculative(Cfg))
-    return beamSearchSpec(Model, std::move(Enc), Cfg);
   BatchedStepper Step(Model, std::move(Enc), Cfg);
   return beamSearchImpl(Step, Cfg);
 }

@@ -34,23 +34,6 @@ namespace nn {
 /// byte-identically to the pre-constraint pipeline.
 enum class ConstrainMode { Off, Syntax };
 
-/// User-facing speculation mode (--speculate={off,auto,on}). Auto probes
-/// each request's first rounds and reverts to plain decode when the
-/// measured acceptance rate is below threshold; On keeps proposing
-/// regardless (still byte-identical, possibly slower). Off never touches
-/// the draft.
-enum class SpecMode { Off, Auto, On };
-
-/// Speculative-decode telemetry, merged up into serve metrics. A
-/// "proposal" is one draft-proposed beam step (a full survivor
-/// selection), so Accepted / Proposed is the acceptance rate.
-struct SpecStats {
-  uint64_t Proposed = 0;   ///< Draft-proposed beam steps.
-  uint64_t Accepted = 0;   ///< Proposals the full model agreed with.
-  uint64_t Rounds = 0;     ///< Propose/verify rounds run.
-  double DraftSeconds = 0; ///< Wall time in draft forward + simulation.
-};
-
 /// Per-decode grammar-constraint counters, merged up into serve metrics.
 struct ConstraintStats {
   uint64_t TokensMasked = 0; ///< Vocab entries masked across all steps.
@@ -72,19 +55,6 @@ struct BeamConfig {
   /// Optional sink for constraint counters (single decode's worth is
   /// added; the caller aggregates).
   ConstraintStats *Stats = nullptr;
-  /// Speculative decoding: when set (and DraftGamma > 0), the decode
-  /// drivers run propose/verify rounds — the draft proposes up to
-  /// DraftGamma beam steps, the full model scores all of them in ONE
-  /// batched call and accepts the longest agreeing prefix, falling back
-  /// to its own selection at the first disagreement. Output is
-  /// byte-identical to Draft == nullptr by construction (every committed
-  /// selection consumes exact full-model logits); only throughput
-  /// changes. See nn/SpecDecode.h.
-  const Transformer *Draft = nullptr;
-  /// Speculative depth: draft-proposed beam steps per round.
-  int DraftGamma = 4;
-  /// Optional sink for speculative telemetry (added per decode).
-  SpecStats *SpecTelemetry = nullptr;
 };
 
 struct Hypothesis {

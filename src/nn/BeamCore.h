@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The per-source beam-search bookkeeping shared by every decode driver:
-/// the single-source loops in Beam.cpp (plain and speculative) and the
-/// continuous-batching serve engine (serve/Engine.cpp). Keeping the
+/// the single-source loop in Beam.cpp and the continuous-batching serve
+/// engine (serve/Engine.cpp). Keeping the
 /// log-softmax / top-k / candidate-ordering / retirement logic in ONE
 /// place is what makes the drivers byte-identical per source: they can
 /// only differ in how rows are batched, never in which hypotheses
@@ -23,7 +23,6 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -169,30 +168,25 @@ struct ConstraintCtx {
   const tok::VocabConstraint *Vocab = nullptr;
   ConstraintStats *Stats = nullptr;
   std::vector<cc::PrefixOracle::State> States; ///< Parallel to Live.
-  /// Lives for one decode (init() starts a new one). Copies of the
-  /// context share it: a speculative simulation's lookups fill the cache
-  /// of the decode it simulates.
-  std::shared_ptr<MaskCache> Masks;
+  MaskCache Masks; ///< Lives for one decode (init() starts a new one).
   std::vector<cc::PrefixOracle::State> NextStates; ///< Step scratch.
 
   void init(const BeamConfig &Cfg) {
     Vocab = Cfg.Constraint;
     Stats = Cfg.Stats;
     States.clear();
-    Masks.reset();
-    if (Vocab) {
+    Masks.ByState.clear();
+    if (Vocab)
       States.push_back(Vocab->start());
-      Masks = std::make_shared<MaskCache>();
-    }
   }
   bool active() const { return Vocab != nullptr; }
 
   /// Vocab->allowedTokens(S), computed once per distinct state.
   const Mask &mask(const cc::PrefixOracle::State &S) {
-    cc::PrefixOracle::stateKey(S, Masks->Key);
-    auto It = Masks->ByState.find(Masks->Key);
-    if (It == Masks->ByState.end()) {
-      It = Masks->ByState.emplace(Masks->Key, Mask()).first;
+    cc::PrefixOracle::stateKey(S, Masks.Key);
+    auto It = Masks.ByState.find(Masks.Key);
+    if (It == Masks.ByState.end()) {
+      It = Masks.ByState.emplace(Masks.Key, Mask()).first;
       Mask &M = It->second;
       M.Masked = Vocab->allowedTokens(S, M.Allowed);
       for (size_t I = 0; I < M.Allowed.size(); ++I)

@@ -171,27 +171,6 @@ void InferRuntime::linearRows(const float *X, int Rows, const PackedMat &W,
   }
 }
 
-void InferRuntime::linearRowsI8(const float *X, int Rows,
-                                const QuantizedMat &W, const float *Bias,
-                                float *Out, QuantizedMat &ActQ,
-                                ParallelFor *TP) const {
-  int OutD = W.R; // One quantized row per output channel.
-  // Quantization happens once, before the fan-out (gemmI8NTRows reads
-  // every activation row from any chunk). int32 accumulation is exact,
-  // so the row split cannot change a single bit.
-  quantizeRowsI8Into(X, Rows, W.C, ActQ);
-  auto RowRange = [&](int B, int E, int) {
-    for (int R = B; R < E; ++R)
-      std::memcpy(Out + static_cast<size_t>(R) * OutD, Bias,
-                  static_cast<size_t>(OutD) * sizeof(float));
-    gemmI8NTRows(ActQ, W, Out, B, E);
-  };
-  if (!TP || TP->threads() <= 1)
-    RowRange(0, Rows, 0);
-  else
-    TP->run(Rows, RowRange);
-}
-
 void InferRuntime::gemmPackedPar(const float *X, const PackedMat &W,
                                  float *C, int Rows, ParallelFor *TP) const {
   int InD = W.K, OutD = W.N;
@@ -420,75 +399,26 @@ InferRuntime::buildDecodeConstants() const {
     for (int J = 0; J < D; ++J)
       C->EmbT[static_cast<size_t>(J) * M.Cfg.Vocab + W] = M.TokEmb.at(W, J);
 
-  // Float decode path: pre-pack EVERY persistent weight-side operand into
-  // the blocked tile-major microkernel layout, once per weight version.
-  // The per-tick GEMMs consume these directly and skip per-call packing.
-  // (Skipped for int8 draft models — every decode GEMM there takes the
-  // quantized copies below; the float packs would be dead weight.)
-  if (!M.Int8Decode) {
-    size_t NL = M.Dec.size();
-    C->SelfQKVWP.resize(NL);
-    C->SelfWoP.resize(NL);
-    C->CrossWqP.resize(NL);
-    C->CrossWoP.resize(NL);
-    C->FF1P.resize(NL);
-    C->FF2P.resize(NL);
-    for (size_t L = 0; L < NL; ++L) {
-      const Transformer::DecLayer &Lay = M.Dec[L];
-      packBInto(C->SelfQKVW[L].data(), D, 3 * D, C->SelfQKVWP[L]);
-      packBInto(Lay.Self.Wo.V.data(), D, D, C->SelfWoP[L]);
-      packBInto(Lay.Cross.Wq.V.data(), D, D, C->CrossWqP[L]);
-      packBInto(Lay.Cross.Wo.V.data(), D, D, C->CrossWoP[L]);
-      packBInto(Lay.W1.V.data(), D, M.Cfg.FF, C->FF1P[L]);
-      packBInto(Lay.W2.V.data(), M.Cfg.FF, D, C->FF2P[L]);
-    }
-    packBInto(C->EmbT.data(), D, M.Cfg.Vocab, C->EmbTP);
+  // Pre-pack EVERY persistent weight-side operand into the blocked
+  // tile-major microkernel layout, once per weight version. The per-tick
+  // GEMMs consume these directly and skip per-call packing.
+  size_t NL = M.Dec.size();
+  C->SelfQKVWP.resize(NL);
+  C->SelfWoP.resize(NL);
+  C->CrossWqP.resize(NL);
+  C->CrossWoP.resize(NL);
+  C->FF1P.resize(NL);
+  C->FF2P.resize(NL);
+  for (size_t L = 0; L < NL; ++L) {
+    const Transformer::DecLayer &Lay = M.Dec[L];
+    packBInto(C->SelfQKVW[L].data(), D, 3 * D, C->SelfQKVWP[L]);
+    packBInto(Lay.Self.Wo.V.data(), D, D, C->SelfWoP[L]);
+    packBInto(Lay.Cross.Wq.V.data(), D, D, C->CrossWqP[L]);
+    packBInto(Lay.Cross.Wo.V.data(), D, D, C->CrossWoP[L]);
+    packBInto(Lay.W1.V.data(), D, M.Cfg.FF, C->FF1P[L]);
+    packBInto(Lay.W2.V.data(), M.Cfg.FF, D, C->FF2P[L]);
   }
-
-  // Draft models additionally carry row-quantized transposed copies of
-  // the large decode matmuls; the float copies above stay authoritative
-  // for everything else (save/load, the graph oracle).
-  if (M.Int8Decode) {
-    C->UseInt8 = true;
-    std::vector<float> Tmp;
-    // Rows of the quantized copy are the OUTPUT channels: row o is
-    // column o of the [in, out] float weight, so gemmI8NT's row-dot
-    // matches gemmAcc's column reduction.
-    auto QuantT = [&Tmp](const Mat &W, QuantizedMat &Out) {
-      Tmp.resize(static_cast<size_t>(W.C) * W.R);
-      for (int O = 0; O < W.C; ++O)
-        for (int K = 0; K < W.R; ++K)
-          Tmp[static_cast<size_t>(O) * W.R + K] = W.at(K, O);
-      quantizeRowsI8Into(Tmp.data(), W.C, W.R, Out);
-    };
-    size_t NL = M.Dec.size();
-    C->SelfQKVWQ.resize(NL);
-    C->SelfWoQ.resize(NL);
-    C->CrossWqQ.resize(NL);
-    C->CrossWoQ.resize(NL);
-    C->FF1Q.resize(NL);
-    C->FF2Q.resize(NL);
-    for (size_t L = 0; L < NL; ++L) {
-      const Transformer::DecLayer &Lay = M.Dec[L];
-      // Fused Q|K|V rows: [3D, D], rows 0..D-1 from Wq, then Wk, Wv.
-      Tmp.resize(static_cast<size_t>(3) * D * D);
-      for (int O = 0; O < D; ++O)
-        for (int K = 0; K < D; ++K) {
-          Tmp[static_cast<size_t>(O) * D + K] = Lay.Self.Wq.at(K, O);
-          Tmp[(static_cast<size_t>(D) + O) * D + K] = Lay.Self.Wk.at(K, O);
-          Tmp[(static_cast<size_t>(2) * D + O) * D + K] =
-              Lay.Self.Wv.at(K, O);
-        }
-      quantizeRowsI8Into(Tmp.data(), 3 * D, D, C->SelfQKVWQ[L]);
-      QuantT(Lay.Self.Wo, C->SelfWoQ[L]);
-      QuantT(Lay.Cross.Wq, C->CrossWqQ[L]);
-      QuantT(Lay.Cross.Wo, C->CrossWoQ[L]);
-      QuantT(Lay.W1, C->FF1Q[L]);
-      QuantT(Lay.W2, C->FF2Q[L]);
-    }
-    // TokEmb is already [Vocab, D] — its rows ARE the output channels.
-    quantizeRowsI8Into(M.TokEmb.V.data(), M.Cfg.Vocab, D, C->EmbQ);
-  }
+  packBInto(C->EmbT.data(), D, M.Cfg.Vocab, C->EmbTP);
   return C;
 }
 
@@ -521,31 +451,21 @@ InferRuntime::buildPackedWeights() const {
 // Batched decode (shared encoder/cross caches, one GEMM per beam batch)
 //===----------------------------------------------------------------------===//
 
-Transformer::BatchDecodeState InferRuntime::startDecodeBatchMulti(
-    const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-        &Encs,
-    int BeamsPerSource, int MaxSteps) const {
-  assert(!Encs.empty() && BeamsPerSource > 0 && MaxSteps > 0);
-  Transformer::BatchDecodeState St;
-  int MaxBeams = BeamsPerSource * static_cast<int>(Encs.size());
-  assert(Encs.size() <= 65535 && BeamsPerSource <= 65535 &&
+Transformer::BatchDecodeState
+InferRuntime::allocDecodeState(int MaxSources, int BeamsPerSource,
+                               int MaxSteps) const {
+  assert(MaxSources > 0 && BeamsPerSource > 0 && MaxSteps > 0);
+  assert(MaxSources <= 65535 && BeamsPerSource <= 65535 &&
          "source/slot ids are uint16");
-  St.B = static_cast<int>(Encs.size()); // One BOS row per source.
+  Transformer::BatchDecodeState St;
+  int MaxBeams = BeamsPerSource * MaxSources;
   St.BMax = MaxBeams;
   St.KMax = BeamsPerSource;
   St.Cap = MaxSteps;
-  St.SegCount = static_cast<int>(Encs.size());
-  St.SegLen.assign(Encs.size(), 0);
-  St.RowEnc = Encs;
+  St.SegCount = MaxSources;
+  St.SegLen.assign(static_cast<size_t>(MaxSources), 0);
   St.RowEnc.resize(static_cast<size_t>(MaxBeams));
   St.RowSource.assign(static_cast<size_t>(MaxBeams), 0);
-  for (size_t S = 0; S < Encs.size(); ++S)
-    St.RowSource[S] = static_cast<uint16_t>(S);
-  for (const auto &Enc : Encs)
-    St.MaxTSrc = std::max(St.MaxTSrc, Enc->TSrc);
-  // All rows share one model: borrow the constants from the first source
-  // (every EncoderCache of a model references the same copy).
-  St.Consts = Encs.front()->Consts;
   int D = M.Cfg.DModel;
   size_t PerLayer = static_cast<size_t>(MaxBeams) * St.Cap * D;
   St.SelfK.assign(M.Dec.size(), std::vector<float>(PerLayer));
@@ -561,35 +481,26 @@ Transformer::BatchDecodeState InferRuntime::startDecodeBatchMulti(
   return St;
 }
 
+Transformer::BatchDecodeState InferRuntime::startDecodeBatch(
+    std::shared_ptr<const Transformer::EncoderCache> Enc, int MaxBeams,
+    int MaxSteps) const {
+  // One segment as wide as the batch, holding the source's BOS row. The
+  // constants are the source's own, so no decodeConstants() lookup.
+  Transformer::BatchDecodeState St = allocDecodeState(1, MaxBeams, MaxSteps);
+  St.B = 1;
+  St.MaxTSrc = Enc->TSrc;
+  St.Consts = Enc->Consts;
+  St.RowEnc[0] = std::move(Enc);
+  return St;
+}
+
 Transformer::BatchDecodeState
 InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
                                 int MaxSteps) const {
-  assert(MaxSources > 0 && BeamsPerSource > 0 && MaxSteps > 0);
-  assert(MaxSources <= 65535 && BeamsPerSource <= 65535 &&
-         "source/slot ids are uint16");
-  Transformer::BatchDecodeState St;
-  int MaxBeams = BeamsPerSource * MaxSources;
-  St.B = 0; // No live rows: sources are bound later via admitStreamRow.
-  St.BMax = MaxBeams;
-  St.KMax = BeamsPerSource;
-  St.Cap = MaxSteps;
-  St.SegCount = MaxSources;
-  St.SegLen.assign(static_cast<size_t>(MaxSources), 0);
-  St.RowEnc.resize(static_cast<size_t>(MaxBeams));
-  St.RowSource.assign(static_cast<size_t>(MaxBeams), 0);
+  // No live rows: sources are bound later via admitStreamRow.
+  Transformer::BatchDecodeState St =
+      allocDecodeState(MaxSources, BeamsPerSource, MaxSteps);
   St.Consts = M.decodeConstants();
-  int D = M.Cfg.DModel;
-  size_t PerLayer = static_cast<size_t>(MaxBeams) * St.Cap * D;
-  St.SelfK.assign(M.Dec.size(), std::vector<float>(PerLayer));
-  St.SelfV.assign(M.Dec.size(), std::vector<float>(PerLayer));
-  St.Anc.assign(static_cast<size_t>(MaxBeams) * St.Cap, 0);
-  size_t Rows = static_cast<size_t>(MaxBeams) * D;
-  St.X.resize(Rows);
-  St.Norm.resize(Rows);
-  St.QKV.resize(Rows * 3);
-  St.AttnOut.resize(Rows);
-  St.Proj.resize(Rows);
-  St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
   return St;
 }
 
@@ -629,21 +540,9 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   int N = static_cast<int>(Rows.size());
   int D = Cfg.DModel, H = Cfg.NHeads, Dh = D / H;
   const Transformer::DecodeConstants &Consts = *St.Consts;
-  const bool I8 = Consts.UseInt8;
-
-  // The scratch is sized for BMax rows at start; a speculative plan may
-  // carry up to gamma * BMax rows, so grow on demand (grow-only).
-  auto Grow = [](std::vector<float> &V, size_t Need) {
-    if (V.size() < Need)
-      V.resize(Need);
-  };
+  // The row scratch was sized for BMax rows at start.
+  assert(N <= St.BMax && "more forward rows than the state holds");
   size_t RowsD = static_cast<size_t>(N) * D;
-  Grow(St.X, RowsD);
-  Grow(St.Norm, RowsD);
-  Grow(St.QKV, RowsD * 3);
-  Grow(St.AttnOut, RowsD);
-  Grow(St.Proj, RowsD);
-  Grow(St.FF1, static_cast<size_t>(N) * Cfg.FF);
 
   // Intra-tick pool: null (or 1 thread) means the sequential code path,
   // taken branch-for-branch as before this field existed.
@@ -671,7 +570,9 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   int ScoreStride = crossKStride(std::max(St.Cap, St.MaxTSrc));
   size_t SlabFloats =
       static_cast<size_t>(std::max(H, GroupMax)) * ScoreStride;
-  Grow(St.Scores, static_cast<size_t>(TP ? TP->threads() : 1) * SlabFloats);
+  size_t ScoreFloats = static_cast<size_t>(TP ? TP->threads() : 1) * SlabFloats;
+  if (St.Scores.size() < ScoreFloats)
+    St.Scores.resize(ScoreFloats);
 
   float *X = St.X.data(), *Norm = St.Norm.data(), *QKV = St.QKV.data(),
         *AttnOut = St.AttnOut.data(), *Proj = St.Proj.data(),
@@ -701,21 +602,10 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       std::memcpy(QKV + static_cast<size_t>(R) * 3 * D,
                   Consts.SelfQKVB[L].data(),
                   static_cast<size_t>(3) * D * sizeof(float));
-    if (I8) {
-      quantizeRowsI8Into(Norm, N, D, St.ActQ);
-      if (!TP)
-        gemmI8NT(St.ActQ, Consts.SelfQKVWQ[L], QKV);
-      else
-        TP->run(N, [&](int B, int E, int) {
-          gemmI8NTRows(St.ActQ, Consts.SelfQKVWQ[L], QKV, B, E);
-        });
-    } else {
-      gemmPackedPar(Norm, Consts.SelfQKVWP[L], QKV, N, TP);
-    }
+    gemmPackedPar(Norm, Consts.SelfQKVWP[L], QKV, N, TP);
     // Each row writes its new K/V once, at its descriptor's (segment,
     // time, slot); the row is never moved afterwards — descendants find
-    // it via the slot tables. ALL writes land before ANY row attends, so
-    // within one call a row may attend K/V written by earlier plan rows.
+    // it via the slot tables. ALL writes land before ANY row attends.
     for (int R = 0; R < N; ++R) {
       const Transformer::DecodeRowPlan &Row = Rows[static_cast<size_t>(R)];
       size_t Slot = static_cast<size_t>(Row.Seg) * SegStride +
@@ -756,12 +646,8 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       SelfAttendRows(0, N, 0);
     else
       TP->run(N, SelfAttendRows);
-    if (I8)
-      linearRowsI8(AttnOut, N, Consts.SelfWoQ[L], Lay.Self.Bo.V.data(),
-                   Proj, St.ActQ, TP);
-    else
-      linearRows(AttnOut, N, Consts.SelfWoP[L], Lay.Self.Bo.V.data(), Proj,
-                 TP);
+    linearRows(AttnOut, N, Consts.SelfWoP[L], Lay.Self.Bo.V.data(), Proj,
+               TP);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
 
@@ -772,12 +658,8 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       layerNormRow(X + static_cast<size_t>(R) * D, D,
                    Lay.LN2.Gamma.V.data(), Lay.LN2.Beta.V.data(),
                    Norm + static_cast<size_t>(R) * D);
-    if (I8)
-      linearRowsI8(Norm, N, Consts.CrossWqQ[L], Lay.Cross.Bq.V.data(), QKV,
-                   St.ActQ, TP);
-    else
-      linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV,
-                 TP);
+    linearRows(Norm, N, Consts.CrossWqP[L], Lay.Cross.Bq.V.data(), QKV,
+               TP);
     // Work items are (group, head) pairs; each writes only its group's
     // head slice of AttnOut.
     auto CrossAttendGroups = [&](int B, int E, int Chunk) {
@@ -799,12 +681,8 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       CrossAttendGroups(0, NumGroups * H, 0);
     else
       TP->run(NumGroups * H, CrossAttendGroups);
-    if (I8)
-      linearRowsI8(AttnOut, N, Consts.CrossWoQ[L], Lay.Cross.Bo.V.data(),
-                   Proj, St.ActQ, TP);
-    else
-      linearRows(AttnOut, N, Consts.CrossWoP[L], Lay.Cross.Bo.V.data(),
-                 Proj, TP);
+    linearRows(AttnOut, N, Consts.CrossWoP[L], Lay.Cross.Bo.V.data(), Proj,
+               TP);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
 
@@ -813,18 +691,10 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
       layerNormRow(X + static_cast<size_t>(R) * D, D,
                    Lay.LN3.Gamma.V.data(), Lay.LN3.Beta.V.data(),
                    Norm + static_cast<size_t>(R) * D);
-    if (I8)
-      linearRowsI8(Norm, N, Consts.FF1Q[L], Lay.B1.V.data(), FF1, St.ActQ,
-                   TP);
-    else
-      linearRows(Norm, N, Consts.FF1P[L], Lay.B1.V.data(), FF1, TP);
+    linearRows(Norm, N, Consts.FF1P[L], Lay.B1.V.data(), FF1, TP);
     for (size_t I = 0; I < static_cast<size_t>(N) * Cfg.FF; ++I)
       FF1[I] = FF1[I] > 0 ? FF1[I] : 0;
-    if (I8)
-      linearRowsI8(FF1, N, Consts.FF2Q[L], Lay.B2.V.data(), Proj, St.ActQ,
-                   TP);
-    else
-      linearRows(FF1, N, Consts.FF2P[L], Lay.B2.V.data(), Proj, TP);
+    linearRows(FF1, N, Consts.FF2P[L], Lay.B2.V.data(), Proj, TP);
     for (size_t I = 0; I < RowsD; ++I)
       X[I] += Proj[I];
   }
@@ -836,17 +706,7 @@ InferRuntime::forwardDecodeRows(Transformer::BatchDecodeState &St) const {
   // Logits against the shared embedding: one streaming [N,D]x[D,V] GEMM
   // over the pre-transposed table.
   std::vector<float> Logits(static_cast<size_t>(N) * Cfg.Vocab, 0.0f);
-  if (I8) {
-    quantizeRowsI8Into(Norm, N, D, St.ActQ);
-    if (!TP)
-      gemmI8NT(St.ActQ, Consts.EmbQ, Logits.data());
-    else
-      TP->run(N, [&](int B, int E, int) {
-        gemmI8NTRows(St.ActQ, Consts.EmbQ, Logits.data(), B, E);
-      });
-  } else {
-    gemmPackedPar(Norm, Consts.EmbTP, Logits.data(), N, TP);
-  }
+  gemmPackedPar(Norm, Consts.EmbTP, Logits.data(), N, TP);
   return Logits;
 }
 
@@ -892,130 +752,6 @@ InferRuntime::stepDecodeBatch(Transformer::BatchDecodeState &St,
       St.Len = std::max(St.Len, SL);
     }
   return Logits;
-}
-
-std::vector<float>
-InferRuntime::stepDecodeSpec(Transformer::BatchDecodeState &St,
-                             const std::vector<SpecRow> &Plan, int Begin,
-                             int End) const {
-  const TransformerConfig &Cfg = M.Cfg;
-  int NP = static_cast<int>(Plan.size());
-  assert(0 <= Begin && Begin <= End && End <= NP);
-  size_t Cap = static_cast<size_t>(St.Cap);
-  // Full slot tables, one per plan row: SpecChain[p*Cap + t] is the
-  // segment-local slot row p's history occupies at time t, for t in
-  // [0, SegLen + Depth]. The committed prefix comes from the depth-0
-  // ancestor's live ancestry row; the speculative tail accumulates down
-  // the parent chain. Built for the WHOLE plan (cheap uint16 copies) so
-  // any [Begin, End) slice can resolve its ancestors.
-  St.SpecBase.resize(static_cast<size_t>(NP));
-  St.SpecChain.resize(static_cast<size_t>(NP) * Cap);
-  for (int P = 0; P < NP; ++P) {
-    const SpecRow &R = Plan[static_cast<size_t>(P)];
-    size_t SL = static_cast<size_t>(St.SegLen[static_cast<size_t>(R.Seg)]);
-    assert(static_cast<int>(SL) + R.Depth < St.Cap &&
-           "speculative depth exceeds self-cache capacity");
-    assert(R.Slot < St.KMax && "speculative slot out of range");
-    uint16_t *Tab = &St.SpecChain[static_cast<size_t>(P) * Cap];
-    if (R.Depth == 0) {
-      assert(R.Parent >= 0 && R.Parent < St.B && "bad live-row parent");
-      St.SpecBase[static_cast<size_t>(P)] = R.Parent;
-      std::memcpy(Tab, &St.Anc[static_cast<size_t>(R.Parent) * Cap],
-                  SL * sizeof(uint16_t));
-    } else {
-      assert(R.Parent >= 0 && R.Parent < P && "parents must precede");
-      assert(Plan[static_cast<size_t>(R.Parent)].Seg == R.Seg &&
-             Plan[static_cast<size_t>(R.Parent)].Depth == R.Depth - 1 &&
-             "parent must be the same segment, one depth up");
-      St.SpecBase[static_cast<size_t>(P)] =
-          St.SpecBase[static_cast<size_t>(R.Parent)];
-      std::memcpy(Tab, &St.SpecChain[static_cast<size_t>(R.Parent) * Cap],
-                  (SL + static_cast<size_t>(R.Depth)) * sizeof(uint16_t));
-    }
-    Tab[SL + static_cast<size_t>(R.Depth)] = R.Slot;
-  }
-
-  int N = End - Begin;
-  St.FwdRows.resize(static_cast<size_t>(N));
-  for (int I = 0; I < N; ++I) {
-    size_t P = static_cast<size_t>(Begin + I);
-    const SpecRow &R = Plan[P];
-    int SL = St.SegLen[static_cast<size_t>(R.Seg)];
-    Transformer::DecodeRowPlan &F = St.FwdRows[static_cast<size_t>(I)];
-    F.Token = R.Token;
-    int Pos = SL + R.Depth;
-    F.Pos = Pos < Cfg.MaxLen ? Pos : Cfg.MaxLen - 1;
-    F.WriteT = SL + R.Depth;
-    F.Seg = static_cast<uint16_t>(R.Seg);
-    F.WriteSlot = R.Slot;
-    F.Enc = St.RowEnc[static_cast<size_t>(St.SpecBase[P])].get();
-    F.Slots = &St.SpecChain[P * Cap];
-  }
-  return forwardDecodeRows(St);
-}
-
-void InferRuntime::commitSpec(Transformer::BatchDecodeState &St,
-                              const std::vector<SpecRow> &Plan,
-                              const std::vector<int> &NewRows) const {
-  int NewB = static_cast<int>(NewRows.size());
-  assert(NewB <= St.BMax && "beam count exceeds allocation");
-  size_t Cap = static_cast<size_t>(St.Cap);
-  St.AncScratch.resize(static_cast<size_t>(NewB) * Cap);
-  St.RowEncScratch.resize(static_cast<size_t>(NewB));
-  St.RowSourceScratch.resize(static_cast<size_t>(NewB));
-  // Gather each committed row's ancestry into scratch first (the same
-  // two-phase dance as reorderBeams: sources and destinations overlap):
-  // the committed prefix from the depth-0 ancestor's live row, then the
-  // accepted chain's slots. K/V rows never move — stepDecodeSpec already
-  // wrote them at exactly these (time, slot) coordinates.
-  for (int I = 0; I < NewB; ++I) {
-    int P = NewRows[static_cast<size_t>(I)];
-    const SpecRow &R = Plan[static_cast<size_t>(P)];
-    size_t SL = static_cast<size_t>(St.SegLen[static_cast<size_t>(R.Seg)]);
-    uint16_t *Dst = &St.AncScratch[static_cast<size_t>(I) * Cap];
-    int Q = P;
-    for (int E = R.Depth; E >= 0; --E) {
-      Dst[SL + static_cast<size_t>(E)] = Plan[static_cast<size_t>(Q)].Slot;
-      Q = Plan[static_cast<size_t>(Q)].Parent;
-    } // After the depth-0 hop Q is the live ancestor's row index.
-    std::memcpy(Dst, &St.Anc[static_cast<size_t>(Q) * Cap],
-                SL * sizeof(uint16_t));
-    St.RowEncScratch[static_cast<size_t>(I)] =
-        St.RowEnc[static_cast<size_t>(Q)];
-    St.RowSourceScratch[static_cast<size_t>(I)] =
-        static_cast<uint16_t>(R.Seg);
-  }
-  for (int I = 0; I < NewB; ++I) {
-    int P = NewRows[static_cast<size_t>(I)];
-    const SpecRow &R = Plan[static_cast<size_t>(P)];
-    size_t SL = static_cast<size_t>(St.SegLen[static_cast<size_t>(R.Seg)]);
-    std::memcpy(&St.Anc[static_cast<size_t>(I) * Cap],
-                &St.AncScratch[static_cast<size_t>(I) * Cap],
-                (SL + static_cast<size_t>(R.Depth) + 1) * sizeof(uint16_t));
-    St.RowEnc[static_cast<size_t>(I)] =
-        std::move(St.RowEncScratch[static_cast<size_t>(I)]);
-    St.RowSource[static_cast<size_t>(I)] =
-        St.RowSourceScratch[static_cast<size_t>(I)];
-  }
-  // Drop stale encoder bindings past the new row count, then advance
-  // each committed segment's clock by its rows' shared depth + 1.
-  for (int I = NewB; I < St.B; ++I)
-    St.RowEnc[static_cast<size_t>(I)].reset();
-  St.B = NewB;
-  for (int I = 0; I < NewB; ++I) {
-    const SpecRow &R = Plan[static_cast<size_t>(NewRows[static_cast<size_t>(I)])];
-    if (I > 0 &&
-        Plan[static_cast<size_t>(NewRows[static_cast<size_t>(I - 1)])].Seg ==
-            R.Seg) {
-      assert(
-          Plan[static_cast<size_t>(NewRows[static_cast<size_t>(I - 1)])]
-                  .Depth == R.Depth &&
-          "committed rows of one segment must share a depth");
-      continue;
-    }
-    int SL = (St.SegLen[static_cast<size_t>(R.Seg)] += R.Depth + 1);
-    St.Len = std::max(St.Len, SL);
-  }
 }
 
 void InferRuntime::reorderBeams(Transformer::BatchDecodeState &St,

@@ -105,10 +105,9 @@ public:
   /// DecodeConstants by bumpWeightVersion().
   std::shared_ptr<const Transformer::PackedWeights> buildPackedWeights() const;
 
-  Transformer::BatchDecodeState startDecodeBatchMulti(
-      const std::vector<std::shared_ptr<const Transformer::EncoderCache>>
-          &Encs,
-      int BeamsPerSource, int MaxSteps) const;
+  Transformer::BatchDecodeState
+  startDecodeBatch(std::shared_ptr<const Transformer::EncoderCache> Enc,
+                   int MaxBeams, int MaxSteps) const;
   Transformer::BatchDecodeState
   startDecodeStream(int MaxSources, int BeamsPerSource, int MaxSteps) const;
   int admitStreamRow(Transformer::BatchDecodeState &St, int Seg,
@@ -120,24 +119,20 @@ public:
                     const std::vector<int> &SrcIdx) const;
   void abortStreamSegment(Transformer::BatchDecodeState &St, int Seg) const;
 
-  /// -- speculative decode (see Transformer.h for the contracts) ------------
-
-  std::vector<float> stepDecodeSpec(Transformer::BatchDecodeState &St,
-                                    const std::vector<SpecRow> &Plan,
-                                    int Begin, int End) const;
-  void commitSpec(Transformer::BatchDecodeState &St,
-                  const std::vector<SpecRow> &Plan,
-                  const std::vector<int> &NewRows) const;
-
 private:
   const Transformer &M;
   ParallelFor *TP = nullptr; ///< Encoder-side pool (null = sequential).
 
-  /// The one batched-decoder forward: embeds, runs every decoder layer
-  /// and the output projection over St.FwdRows, returns logits
-  /// [FwdRows.size(), Vocab]. stepDecodeBatch and stepDecodeSpec are
-  /// thin lowerings onto this, which is what makes speculative logits
-  /// bit-identical to committed stepping by construction.
+  /// A state with \p MaxSources self-K/V segments of \p BeamsPerSource
+  /// rows over \p MaxSteps positions, its buffers sized, and no live rows
+  /// or constants yet.
+  Transformer::BatchDecodeState allocDecodeState(int MaxSources,
+                                                 int BeamsPerSource,
+                                                 int MaxSteps) const;
+  /// The batched-decoder forward: embeds, runs every decoder layer and
+  /// the output projection over St.FwdRows (at most BMax rows), returns
+  /// logits [FwdRows.size(), Vocab]. stepDecodeBatch lowers a step onto
+  /// it.
   std::vector<float>
   forwardDecodeRows(Transformer::BatchDecodeState &St) const;
 
@@ -154,12 +149,6 @@ private:
   /// contract as linearRowsBiasAfter.
   void linearRows(const float *X, int Rows, const PackedMat &W,
                   const float *Bias, float *Out, ParallelFor *TP) const;
-  /// int8 variant over a pre-quantized transposed weight ([out, in] rows):
-  /// bias-seed, quantize the activations into \p ActQ, then a row-split
-  /// gemmI8NT (int32 accumulation — exact, so splits are bit-identical).
-  void linearRowsI8(const float *X, int Rows, const QuantizedMat &W,
-                    const float *Bias, float *Out, QuantizedMat &ActQ,
-                    ParallelFor *TP) const;
   /// C += X * W over a PRE-PACKED weight with no bias handling (caller
   /// seeds C); row- or tile-split across \p TP like linearRows.
   void gemmPackedPar(const float *X, const PackedMat &W, float *C, int Rows,

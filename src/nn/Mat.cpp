@@ -263,113 +263,6 @@ void slade::nn::gemmAccTN(const float *A, const float *B, float *C, int M,
   Edge(MFull, M, 0, N);
 }
 
-void slade::nn::quantizeRowsI8Into(const float *A, int R, int C,
-                                   QuantizedMat &Out) {
-  Out.R = R;
-  Out.C = C;
-  size_t Need = static_cast<size_t>(R) * C;
-  if (Out.Q.size() < Need)
-    Out.Q.resize(Need);
-  if (Out.Scale.size() < static_cast<size_t>(R))
-    Out.Scale.resize(static_cast<size_t>(R));
-  for (int I = 0; I < R; ++I) {
-    const float *Row = A + static_cast<size_t>(I) * C;
-    float AbsMax = 0.0f;
-    for (int J = 0; J < C; ++J) {
-      float V = std::fabs(Row[J]);
-      AbsMax = V > AbsMax ? V : AbsMax;
-    }
-    int8_t *QRow = Out.Q.data() + static_cast<size_t>(I) * C;
-    if (AbsMax == 0.0f) {
-      Out.Scale[static_cast<size_t>(I)] = 0.0f;
-      std::memset(QRow, 0, static_cast<size_t>(C));
-      continue;
-    }
-    float Scale = AbsMax / 127.0f;
-    float Inv = 127.0f / AbsMax;
-    Out.Scale[static_cast<size_t>(I)] = Scale;
-    for (int J = 0; J < C; ++J) {
-      // nearbyintf (round-to-nearest-even in the default mode) keeps the
-      // quantizer deterministic across the scalar and vector builds.
-      float Qf = std::nearbyintf(Row[J] * Inv);
-      Qf = Qf > 127.0f ? 127.0f : (Qf < -127.0f ? -127.0f : Qf);
-      QRow[J] = static_cast<int8_t>(Qf);
-    }
-  }
-}
-
-QuantizedMat slade::nn::quantizeRowsI8(const float *A, int R, int C) {
-  QuantizedMat Out;
-  quantizeRowsI8Into(A, R, C, Out);
-  return Out;
-}
-
-namespace {
-
-/// Exact int32 dot product of two int8 rows with |values| <= 127.
-inline int32_t dotI8(const int8_t *A, const int8_t *B, int K) {
-#if defined(__AVX2__) && defined(__FMA__)
-  // The classic sign trick keeps `maddubs` saturation-free: |a| <= 127 as
-  // the unsigned operand and sign(a)*b as the signed one bounds each
-  // int16 pair sum by 2*127*127 < 32767, so the u8*s8 multiply-add is
-  // exact and the int32 accumulation matches the scalar loop bit-for-bit.
-  __m256i Acc = _mm256_setzero_si256();
-  const __m256i Ones = _mm256_set1_epi16(1);
-  int Full = K & ~31;
-  for (int Kk = 0; Kk < Full; Kk += 32) {
-    __m256i Av = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(A + Kk));
-    __m256i Bv = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i *>(B + Kk));
-    __m256i AAbs = _mm256_sign_epi8(Av, Av);
-    __m256i BSgn = _mm256_sign_epi8(Bv, Av);
-    __m256i P16 = _mm256_maddubs_epi16(AAbs, BSgn);
-    Acc = _mm256_add_epi32(Acc, _mm256_madd_epi16(P16, Ones));
-  }
-  __m128i S = _mm_add_epi32(_mm256_castsi256_si128(Acc),
-                            _mm256_extracti128_si256(Acc, 1));
-  S = _mm_add_epi32(S, _mm_shuffle_epi32(S, _MM_SHUFFLE(1, 0, 3, 2)));
-  S = _mm_add_epi32(S, _mm_shuffle_epi32(S, _MM_SHUFFLE(2, 3, 0, 1)));
-  int32_t Sum = _mm_cvtsi128_si32(S);
-  for (int Kk = Full; Kk < K; ++Kk)
-    Sum += static_cast<int32_t>(A[Kk]) * static_cast<int32_t>(B[Kk]);
-  return Sum;
-#else
-  int32_t Sum = 0;
-  for (int Kk = 0; Kk < K; ++Kk)
-    Sum += static_cast<int32_t>(A[Kk]) * static_cast<int32_t>(B[Kk]);
-  return Sum;
-#endif
-}
-
-} // namespace
-
-void slade::nn::gemmI8NT(const QuantizedMat &A, const QuantizedMat &B,
-                         float *C) {
-  gemmI8NTRows(A, B, C, 0, A.R);
-}
-
-void slade::nn::gemmI8NTRows(const QuantizedMat &A, const QuantizedMat &B,
-                             float *C, int I0, int I1) {
-  assert(A.C == B.C && "gemmI8NT K mismatch");
-  int N = B.R, K = A.C;
-  for (int I = I0; I < I1; ++I) {
-    const int8_t *ARow = A.Q.data() + static_cast<size_t>(I) * K;
-    float SA = A.Scale[static_cast<size_t>(I)];
-    float *CRow = C + static_cast<size_t>(I) * N;
-    if (SA == 0.0f)
-      continue; // Zero row contributes nothing to the accumulation.
-    for (int J = 0; J < N; ++J) {
-      float SB = B.Scale[static_cast<size_t>(J)];
-      if (SB == 0.0f)
-        continue;
-      int32_t Dot =
-          dotI8(ARow, B.Q.data() + static_cast<size_t>(J) * K, K);
-      CRow[J] += SA * SB * static_cast<float>(Dot);
-    }
-  }
-}
-
 void slade::nn::softmaxRowInPlace(float *Row, int N) {
   if (N <= 0)
     return;

@@ -159,43 +159,6 @@ void layerNormRow(const float *X, int N, const float *Gamma,
                   const float *Beta, float *Out, float *MeanOut = nullptr,
                   float *InvStdOut = nullptr);
 
-// -- int8 row-quantized kernels (draft-model inference) ----------------------
-//
-// Symmetric per-row absmax quantization: Scale[i] = absmax_k(A[i][k]) / 127,
-// Q[i][k] = round-to-nearest(A[i][k] / Scale[i]) clamped to [-127, 127]
-// (an all-zero row gets Scale 0 and quantizes to zeros). Products stay
-// within int16 and accumulate exactly in int32, so the AVX2 `maddubs`
-// path and the scalar fallback produce bit-identical results. Only the
-// DRAFT model's matmuls run through these — draft accuracy affects the
-// speculative acceptance rate, never decode output (the full model
-// re-scores every proposal in float).
-
-/// A row-quantized int8 matrix: values plus one scale per row.
-struct QuantizedMat {
-  int R = 0, C = 0;
-  std::vector<int8_t> Q;    ///< Row-major quantized values.
-  std::vector<float> Scale; ///< Per-row dequantization scales.
-};
-
-/// Quantizes A [R,C] (row-major float) into \p Out, reusing its storage
-/// (grow-only; steady-state calls allocate nothing).
-void quantizeRowsI8Into(const float *A, int R, int C, QuantizedMat &Out);
-
-/// Convenience wrapper returning a fresh QuantizedMat.
-QuantizedMat quantizeRowsI8(const float *A, int R, int C);
-
-/// C += dequant(A) * dequant(B)^T. A is [M,K] (M quantized rows), B is
-/// [N,K] (N quantized rows — weights stored transposed, one row per
-/// output channel), C is float row-major [M,N]. The int32 dot product is
-/// exact; the only rounding is the final per-element
-/// Scale[i]*Scale[j]*acc fused into C.
-void gemmI8NT(const QuantizedMat &A, const QuantizedMat &B, float *C);
-/// Row range [I0, I1) of gemmI8NT — the int8 parallel split unit.
-/// Disjoint ranges write disjoint C rows; per-element results are
-/// independent of the split (exact int32 accumulation).
-void gemmI8NTRows(const QuantizedMat &A, const QuantizedMat &B, float *C,
-                  int I0, int I1);
-
 // -- autograd ops ------------------------------------------------------------
 
 Mat *matmul(Graph &G, Mat *A, Mat *B);     ///< [m,k]x[k,n].

@@ -494,14 +494,8 @@ std::vector<float> Transformer::stepDecode(DecodeState &St,
 Transformer::BatchDecodeState
 Transformer::startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
                               int MaxBeams, int MaxSteps) const {
-  return startDecodeBatchMulti({std::move(Enc)}, MaxBeams, MaxSteps);
-}
-
-Transformer::BatchDecodeState Transformer::startDecodeBatchMulti(
-    const std::vector<std::shared_ptr<const EncoderCache>> &Encs,
-    int BeamsPerSource, int MaxSteps) const {
-  return InferRuntime(*this).startDecodeBatchMulti(Encs, BeamsPerSource,
-                                                   MaxSteps);
+  return InferRuntime(*this).startDecodeBatch(std::move(Enc), MaxBeams,
+                                              MaxSteps);
 }
 
 Transformer::BatchDecodeState
@@ -530,18 +524,6 @@ void Transformer::reorderBeams(BatchDecodeState &St,
 
 void Transformer::abortStreamSegment(BatchDecodeState &St, int Seg) const {
   InferRuntime(*this).abortStreamSegment(St, Seg);
-}
-
-std::vector<float> Transformer::stepDecodeSpec(BatchDecodeState &St,
-                                               const std::vector<SpecRow> &Plan,
-                                               int Begin, int End) const {
-  return InferRuntime(*this).stepDecodeSpec(St, Plan, Begin, End);
-}
-
-void Transformer::commitSpec(BatchDecodeState &St,
-                             const std::vector<SpecRow> &Plan,
-                             const std::vector<int> &NewRows) const {
-  InferRuntime(*this).commitSpec(St, Plan, NewRows);
 }
 
 //===----------------------------------------------------------------------===//

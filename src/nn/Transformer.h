@@ -10,10 +10,10 @@
 ///
 /// Execution is split by purpose: the Graph-based encode/decode/pairLoss
 /// are the training path (autograd tape) and the bit-exactness oracle;
-/// every serving entry point below (encodeSource, startDecodeBatch[Multi],
-/// stepDecodeBatch, decodeConstants) delegates to the graph-free
-/// InferRuntime (nn/InferRuntime.h), which runs on raw preallocated
-/// buffers with the tiled kernels.
+/// every serving entry point below (encodeSource, startDecodeBatch,
+/// startDecodeStream, stepDecodeBatch, decodeConstants) delegates to the
+/// graph-free InferRuntime (nn/InferRuntime.h), which runs on raw
+/// preallocated buffers with the tiled kernels.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_TRANSFORMER_H
@@ -57,24 +57,6 @@ struct ParamRef {
   bool Decay;
 };
 
-/// One row of a speculative decode plan: a hypothesis extension at
-/// \c Depth positions past its segment's committed clock. Depth-0 rows
-/// extend a LIVE state row (\c Parent is that row's index); deeper rows
-/// extend an earlier PLAN row of the same segment (\c Parent is its plan
-/// index, which must precede this row). \c Slot is the caller-assigned
-/// K/V slot within the (segment, depth) group — distinct among rows
-/// sharing both, < KMax. Nothing is committed by running a plan:
-/// stepDecodeSpec writes K/V into not-yet-committed positions and
-/// returns logits; commitSpec later promotes one accepted row subset to
-/// the new live set.
-struct SpecRow {
-  int Seg = 0;    ///< Self-K/V segment (== RowSource of the ancestry).
-  int Depth = 0;  ///< Positions past SegLen[Seg] (0 = next position).
-  int Parent = 0; ///< Live row index (Depth 0) or plan row index.
-  int Token = 0;  ///< Token fed at this position.
-  uint16_t Slot = 0; ///< K/V slot within the (Seg, Depth) group.
-};
-
 class Transformer {
 public:
   /// Special token ids (aligned with tok::Tokenizer).
@@ -109,23 +91,7 @@ public:
     /// streaming GEMM instead of a strided one.
     std::vector<float> EmbT;
 
-    /// -- optional int8 path (draft models only) --------------------------
-    /// When \c UseInt8 is set the batched decoder runs its large matmuls
-    /// through the row-quantized kernels (nn/Mat.h) using the copies
-    /// below; the full model never sets it, so the float path is
-    /// untouched and speculative verification stays exact. Weights are
-    /// stored transposed ([out, in] — one quantized row per output
-    /// channel) to feed gemmI8NT.
-    bool UseInt8 = false;
-    std::vector<QuantizedMat> SelfQKVWQ; ///< Per layer [3D, D].
-    std::vector<QuantizedMat> SelfWoQ;   ///< Per layer [D, D].
-    std::vector<QuantizedMat> CrossWqQ;  ///< Per layer [D, D].
-    std::vector<QuantizedMat> CrossWoQ;  ///< Per layer [D, D].
-    std::vector<QuantizedMat> FF1Q;      ///< Per layer [FF, D].
-    std::vector<QuantizedMat> FF2Q;      ///< Per layer [D, FF].
-    QuantizedMat EmbQ;                   ///< [Vocab, D] (logits GEMM).
-
-    /// -- pre-packed float decoder weights (empty when UseInt8) -----------
+    /// -- pre-packed decoder weights ----------------------------------------
     /// Every persistent B operand of the batched float decode,
     /// pre-packed into the tile-major layout the microkernels consume
     /// (nn::PackedMat), so the per-tick GEMMs skip operand packing
@@ -154,9 +120,7 @@ public:
   /// Pre-packed copies of every persistent weight operand consumed
   /// OUTSIDE the decoder tick: the encoder stack and the
   /// per-decoder-layer cross K/V projections (finishEncoderCache).
-  /// Weight-versioned and cached exactly like DecodeConstants; draft
-  /// models get their own (their encoders run deriveDraftCache through
-  /// the same code).
+  /// Weight-versioned and cached exactly like DecodeConstants.
   struct PackedWeights {
     uint64_t Version = 0;
     struct EncLayerPack {
@@ -211,11 +175,10 @@ public:
 
   /// One row descriptor of the shared batched-decoder forward pass (an
   /// InferRuntime internal; declared here so the reusable descriptor
-  /// array can live in BatchDecodeState's scratch). Plain decode and
-  /// speculative plans both lower to a list of these: a token embedded
-  /// at \c Pos, K/V written at (\c Seg, time \c WriteT, slot
-  /// \c WriteSlot), self-attention over \c Slots[0..WriteT], cross
-  /// attention over \c Enc.
+  /// array can live in BatchDecodeState's scratch). A decode step lowers
+  /// to a list of these: a token embedded at \c Pos, K/V written at
+  /// (\c Seg, time \c WriteT, slot \c WriteSlot), self-attention over
+  /// \c Slots[0..WriteT], cross attention over \c Enc.
   struct DecodeRowPlan {
     int Token = 0, Pos = 0, WriteT = 0;
     uint16_t Seg = 0, WriteSlot = 0;
@@ -337,11 +300,6 @@ public:
     /// First FwdRows index of each cross-attention group (adjacent rows
     /// sharing an EncoderCache), then FwdRows.size().
     std::vector<int> CrossGroups;
-    // Speculative-plan scratch (grown on demand by stepDecodeSpec /
-    // commitSpec; unused by plain decode).
-    std::vector<int> SpecBase; ///< Per plan row: live-row ancestor.
-    std::vector<uint16_t> SpecChain; ///< Per plan row: [Cap] slot table.
-    QuantizedMat ActQ; ///< int8 activation scratch (draft models).
     /// Optional intra-tick worker pool (nn/Parallel.h): when set, the
     /// batched forward splits its row/tile ranges across the pool's
     /// threads. Not owned; null (the default) = sequential. Per-row
@@ -355,14 +313,6 @@ public:
   /// beam (the BOS hypothesis); reorderBeams grows it up to MaxBeams.
   BatchDecodeState startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
                                     int MaxBeams, int MaxSteps) const;
-  /// Multi-source variant: one state fusing \p Encs.size() sources, one
-  /// initial BOS beam per source (row i belongs to source i), with room
-  /// for \p BeamsPerSource beams per source. All sources start decoding at
-  /// step 0 together; rows of finished sources are dropped by
-  /// reorderBeams.
-  BatchDecodeState startDecodeBatchMulti(
-      const std::vector<std::shared_ptr<const EncoderCache>> &Encs,
-      int BeamsPerSource, int MaxSteps) const;
   /// Streaming variant (the serve engine's continuous batch): allocates a
   /// state with \p MaxSources self-K/V segments of \p BeamsPerSource rows
   /// each but NO live rows — sources are bound later, one at a time, via
@@ -395,55 +345,12 @@ public:
   void reorderBeams(BatchDecodeState &St,
                     const std::vector<int> &SrcIdx) const;
 
-  /// -- speculative decode (propose / batched verify) ---------------------
-  ///
-  /// Runs the forward pass for plan rows [Begin, End) of \p Plan without
-  /// committing anything: K/V land in positions past each segment's
-  /// SegLen at the rows' assigned slots, and the returned logits are
-  /// [End-Begin, Vocab] in plan order. The WHOLE plan is passed so rows
-  /// in range can resolve ancestor chains through earlier rows; parents
-  /// must precede children. Per-row logits are bit-identical to what a
-  /// sequence of committed stepDecodeBatch calls along the same token
-  /// path would produce (same kernels, same fixed K-order accumulation),
-  /// which is what makes speculative verification exact.
-  ///
-  /// Constraints: SegLen[Seg] + Depth < Cap and Slot < KMax for every
-  /// row in range; plan rows of one (Seg, Depth) group need not be
-  /// contiguous, but parents must appear before children.
-  std::vector<float> stepDecodeSpec(BatchDecodeState &St,
-                                    const std::vector<SpecRow> &Plan,
-                                    int Begin, int End) const;
-  /// Commits an accepted subset of a previously run plan: new live row i
-  /// is plan row \p NewRows[i] (its whole ancestor chain becomes that
-  /// row's history). Rows of one segment must be contiguous in NewRows
-  /// and share one Depth; each such segment's clock advances by
-  /// Depth + 1. Replaces reorderBeams + the re-step for the speculative
-  /// path: the K/V written by stepDecodeSpec are adopted in place, only
-  /// the ancestry/index rows are gathered. Segments with no committed
-  /// rows are left untouched (their speculative K/V is dead data,
-  /// overwritten on recycle).
-  void commitSpec(BatchDecodeState &St, const std::vector<SpecRow> &Plan,
-                  const std::vector<int> &NewRows) const;
   /// Early retirement (deadline expiry / cancellation): drops EVERY live
   /// row of segment \p Seg in place, releasing the rows' encoder
   /// bindings, and leaves the segment ready for recycling by the next
   /// admitStreamRow. Equivalent to a reorderBeams over the surviving
   /// rows, so the remaining sources' results stay bit-identical.
   void abortStreamSegment(BatchDecodeState &St, int Seg) const;
-
-  /// Routes this model's batched decoder through the int8 row-quantized
-  /// kernels: the next decodeConstants() rebuild carries quantized weight
-  /// copies and sets DecodeConstants::UseInt8. Meant for DRAFT models
-  /// only — int8 rounding changes logits, which for a draft only shifts
-  /// the speculative acceptance rate. Bumps the weight version so cached
-  /// float constants are invalidated.
-  void setInt8Decode(bool Enable) {
-    if (Int8Decode == Enable)
-      return;
-    Int8Decode = Enable;
-    bumpWeightVersion();
-  }
-  bool int8Decode() const { return Int8Decode; }
 
   Status save(const std::string &Path) const;
   static Expected<Transformer> load(const std::string &Path);
@@ -455,10 +362,6 @@ private:
   /// The graph-free inference runtime executes the encoder and the
   /// batched decoder directly on the private weight matrices.
   friend class InferRuntime;
-  /// The speculative draft distiller copies the frozen embeddings and
-  /// drives the private decode graph with the full model's encoder
-  /// output as a constant.
-  friend class DraftModel;
 
   TransformerConfig Cfg;
 
@@ -490,7 +393,6 @@ private:
   mutable uint64_t DropRng = 0x5eed;
 
   uint64_t WeightVersion = 1;
-  bool Int8Decode = false; ///< Quantize decode constants (draft models).
   /// Model-level cache slot for a weight-versioned derived snapshot
   /// (decode constants, pre-packed weights). Boxed behind a shared_ptr
   /// so the Transformer stays movable (the box holds the mutex) and

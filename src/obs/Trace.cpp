@@ -34,8 +34,6 @@ const char *slade::obs::spanKindName(SpanKind K) {
     return "resolve";
   case SpanKind::Tick:
     return "tick";
-  case SpanKind::SpecRound:
-    return "spec_round";
   case SpanKind::OracleMask:
     return "oracle_mask";
   case SpanKind::ParallelTile:
@@ -47,8 +45,8 @@ const char *slade::obs::spanKindName(SpanKind K) {
 }
 
 bool slade::obs::isShardScope(SpanKind K) {
-  return K == SpanKind::Tick || K == SpanKind::SpecRound ||
-         K == SpanKind::OracleMask || K == SpanKind::ParallelTile;
+  return K == SpanKind::Tick || K == SpanKind::OracleMask ||
+         K == SpanKind::ParallelTile;
 }
 
 namespace {

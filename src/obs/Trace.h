@@ -60,8 +60,6 @@ enum class SpanKind : uint8_t {
   VerifyAttempt,///< One core verify attempt. Arg0 = cand, Arg1 = attempt.
   Resolve,      ///< Instant: typed resolution. Arg0 = RequestStatus.
   Tick,         ///< SHARD scope: one fused decode tick. Arg0 = rows.
-  SpecRound,    ///< SHARD scope: propose/verify round. Arg0 = proposed,
-                ///< Arg1 = accepted.
   OracleMask,   ///< SHARD scope: constraint-mask time within a tick.
   ParallelTile, ///< SHARD scope: intra-tick pool fan-out within a tick.
                 ///< Arg0 = pool regions run, Arg1 = tick threads.

@@ -4,7 +4,6 @@
 
 #include "nn/BeamCore.h"
 #include "nn/Parallel.h"
-#include "nn/SpecDecode.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
@@ -149,13 +148,6 @@ struct Engine::Job {
   /// freshly admitted). Invariant: NextTokens.size() == Live.size().
   std::vector<int> NextTokens;
   int Steps = 0; ///< Selection steps taken (caps at MaxLen).
-  /// Speculative serving only (inert on the plain path): the session job
-  /// carries the pending selection and row geometry across rounds; the
-  /// accumulators below feed the Auto acceptance gate.
-  nn::SpecSession::Job SJ;
-  uint64_t SpecProposed = 0, SpecAccepted = 0;
-  int SpecRoundsSeen = 0;
-  bool SpecGateDecided = false;
   /// Decode-span start (row admission), recorder-epoch ns; meaningful
   /// only when Main.Traced.
   uint64_t AdmitNs = 0;
@@ -250,19 +242,6 @@ void Engine::registerInstruments() {
   Ins.OracleSeconds = &Reg.floatCounter(
       "slade_constraint_oracle_seconds_total",
       "Time inside the oracle/mask code", N);
-  Ins.DraftProposed = &Reg.counter("slade_spec_draft_proposed_total",
-                                   "Draft-proposed beam steps", N);
-  Ins.DraftAccepted = &Reg.counter(
-      "slade_spec_draft_accepted_total",
-      "Proposals the full model agreed with", N);
-  Ins.SpecRounds = &Reg.counter("slade_spec_rounds_total",
-                                "Propose/verify rounds ticked", N);
-  Ins.SpecFallbacks = &Reg.counter(
-      "slade_spec_fallbacks_total",
-      "Requests the Auto gate reverted to plain", N);
-  Ins.DraftSeconds = &Reg.floatCounter(
-      "slade_spec_draft_seconds_total",
-      "Time inside draft forward + simulation", N);
   Ins.ParallelRegions = &Reg.counter(
       "slade_shard_parallel_regions_total",
       "Intra-tick pool regions fanned out, per shard", N);
@@ -548,11 +527,6 @@ EngineMetrics Engine::metrics() const {
   M.BeamsKilled = Ins.BeamsKilled->value();
   M.TokensMasked = Ins.TokensMasked->value();
   M.OracleSeconds = Ins.OracleSeconds->value();
-  M.DraftProposed = Ins.DraftProposed->value();
-  M.DraftAccepted = Ins.DraftAccepted->value();
-  M.SpecRounds = Ins.SpecRounds->value();
-  M.SpecFallbacks = Ins.SpecFallbacks->value();
-  M.DraftSeconds = Ins.DraftSeconds->value();
   M.DecodeCacheBytes = D.decodeCache().bytesUsed();
   return M;
 }
@@ -950,27 +924,12 @@ void Engine::shardLoop(Shard &S) {
 
   nn::Transformer::BatchDecodeState St = Model.startDecodeStream(
       Opts.MaxLiveSources, BeamsPerSource, std::max(1, Opts.MaxLen) + 1);
-  // The shard's intra-tick worker pool: full-model ticks, the draft's
-  // mirrored forwards, and this shard's readmission encodes all fan out
-  // over it (never concurrently — the shard loop is single-threaded).
-  // TickThreads == 1 constructs no pool and every consumer runs the
-  // sequential code path.
+  // The shard's intra-tick worker pool: ticks and this shard's
+  // readmission encodes both fan out over it (never concurrently — the
+  // shard loop is single-threaded). TickThreads == 1 constructs no pool
+  // and every consumer runs the sequential code path.
   nn::ParallelFor TickPool(Opts.TickThreads);
   St.TP = &TickPool;
-  // Speculative serving: a per-shard session owning the draft's mirrored
-  // stream state. With no draft attached the engine silently runs plain
-  // (byte-identical either way; only throughput could have changed).
-  const nn::DraftModel *DM = D.draft();
-  const bool Spec =
-      Opts.Speculate != nn::SpecMode::Off && DM != nullptr &&
-      Opts.DraftGamma > 0;
-  std::unique_ptr<nn::SpecSession> Sess;
-  if (Spec) {
-    Sess = std::make_unique<nn::SpecSession>(Model, DM->model());
-    Sess->setTickPool(&TickPool);
-    Sess->initStream(Opts.MaxLiveSources, BeamsPerSource,
-                     std::max(1, Opts.MaxLen) + 1);
-  }
   SlotAllocator Slots(Opts.MaxLiveSources);
   std::vector<std::unique_ptr<Job>> Jobs; // Row order == job order.
   /// Routed messages not yet admitted: attaches waiting to merge and
@@ -981,7 +940,6 @@ void Engine::shardLoop(Shard &S) {
   nn::beamcore::SelectScratch Scratch;
   std::vector<float> Logits;
   std::vector<int> Tokens, SrcIdx;
-  std::vector<nn::SpecSession::Job *> SpecJobs;
   uint64_t Tick = 0; ///< This shard's tick number (fault-injection id).
 
   // Releases a LIVE job's row state without finishing it: aborts its
@@ -989,8 +947,6 @@ void Engine::shardLoop(Shard &S) {
   // drops its router slot/key.
   auto AbortJobRow = [&](Job &J) {
     Model.abortStreamSegment(St, J.Seg);
-    if (Spec)
-      Sess->abortSegment(J.Seg);
     Slots.release(J.Seg);
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     std::lock_guard<std::mutex> Lock(MetricsMu);
@@ -1044,10 +1000,14 @@ void Engine::shardLoop(Shard &S) {
       for (size_t AI = 0; AI < J.Attached.size(); ++AI) {
         RequestStatus St2 =
             Force ? ForceSt : J.Attached[AI].deadStatus(Now);
-        if (St2 != RequestStatus::Ok)
+        if (St2 != RequestStatus::Ok) {
           completeEmpty(std::move(J.Attached[AI]), St2);
-        else
-          J.Attached[AKeep++] = std::move(J.Attached[AI]);
+          continue;
+        }
+        // Never self-move: it would empty the completion's Name.
+        if (AKeep != AI)
+          J.Attached[AKeep] = std::move(J.Attached[AI]);
+        ++AKeep;
       }
       J.Attached.resize(AKeep);
       RequestStatus MainSt = Force ? ForceSt : J.Main.deadStatus(Now);
@@ -1098,17 +1058,6 @@ void Engine::shardLoop(Shard &S) {
     J->Live.resize(1); // The BOS hypothesis.
     J->CC.init(BC);    // Fresh oracle cursor for the BOS beam.
     J->NextTokens = {nn::Transformer::BosId};
-    if (Spec) {
-      // Mirror the admission on the draft state and point the session
-      // job at this job's search state (heap-stable across the vector's
-      // moves). Its default pending selection IS the BOS feed.
-      Sess->admit(Seg, *M.Enc);
-      J->SJ.Seg = Seg;
-      J->SJ.Live = &J->Live;
-      J->SJ.Done = &J->Done;
-      J->SJ.CC = &J->CC;
-      J->SJ.Gamma = Opts.DraftGamma;
-    }
     Ins.Sources->add(S.Index, 1);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
@@ -1138,10 +1087,13 @@ void Engine::shardLoop(Shard &S) {
         size_t AKeep = 0;
         for (size_t AI = 0; AI < M.Attached.size(); ++AI) {
           RequestStatus ASt = M.Attached[AI].deadStatus(Now);
-          if (ASt != RequestStatus::Ok)
+          if (ASt != RequestStatus::Ok) {
             completeEmpty(std::move(M.Attached[AI]), ASt);
-          else
-            M.Attached[AKeep++] = std::move(M.Attached[AI]);
+            continue;
+          }
+          if (AKeep != AI) // Never self-move (see SweepJobs).
+            M.Attached[AKeep] = std::move(M.Attached[AI]);
+          ++AKeep;
         }
         M.Attached.resize(AKeep);
         RequestStatus MSt = M.C.deadStatus(Now);
@@ -1270,102 +1222,6 @@ void Engine::shardLoop(Shard &S) {
     ProcessPending();
     if (Jobs.empty())
       continue; // Everything attached/completed; re-block on the inbox.
-
-    if (Spec) {
-      // -- one propose/verify round over every live job --------------------
-      // The session updates each job's Live/Done/CC exactly as the
-      // equivalent plain ticks would (one round = one-or-more exact beam
-      // steps per job), so retirement, finalization, and the LRU fill
-      // are the plain path's code verbatim.
-      const bool Multi = Jobs.size() > 1;
-      SpecJobs.clear();
-      for (const std::unique_ptr<Job> &J : Jobs) {
-        if (Multi) {
-          J->Main.Shared = true;
-          for (Completion &C : J->Attached)
-            C.Shared = true;
-        }
-        SpecJobs.push_back(&J->SJ);
-      }
-      nn::SpecStats Round;
-      const bool TraceTick = TR.enabled();
-      const uint64_t TickStart = TraceTick ? TR.nowNs() : 0;
-      const uint64_t RegionsBefore = TickPool.regions();
-      auto T0 = Clock::now();
-      int PlanRows = Sess->runRound(St, SpecJobs, BC, Round);
-      Ins.DecodeSeconds->add(S.Index, secondsSince(T0));
-      Ins.Steps->add(S.Index, 1);
-      Ins.StepRows->add(S.Index, static_cast<uint64_t>(PlanRows));
-      Ins.DraftProposed->add(S.Index, Round.Proposed);
-      Ins.DraftAccepted->add(S.Index, Round.Accepted);
-      Ins.SpecRounds->add(S.Index, 1);
-      Ins.DraftSeconds->add(S.Index, Round.DraftSeconds);
-      if (uint64_t Regions = TickPool.regions() - RegionsBefore) {
-        Ins.ParallelRegions->add(S.Index, Regions);
-        if (TraceTick)
-          TR.record(obs::SpanKind::ParallelTile,
-                    static_cast<uint64_t>(S.Index), TickStart, TR.nowNs(),
-                    Regions, static_cast<uint64_t>(TickPool.threads()));
-      }
-      if (TraceTick)
-        TR.record(obs::SpanKind::SpecRound,
-                  static_cast<uint64_t>(S.Index), TickStart, TR.nowNs(),
-                  Round.Proposed, Round.Accepted);
-      ++Tick;
-      if (Injector.enabled() && Injector.slowTickAt(S.Index, Tick))
-        std::this_thread::sleep_for(
-            secondsToDuration(Injector.config().SlowTickSeconds));
-
-      size_t Keep = 0;
-      for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-        Job &J = *Jobs[JI];
-        J.Steps = J.SJ.StepsDone;
-        // Auto's acceptance gate, decided ONCE per request after its
-        // probe rounds: a request whose draft is not earning its keep
-        // stops proposing — its later rounds are plain steps through
-        // the same machinery (Gamma 0 is absorbing), so the worst case
-        // is bounded at the probe rounds' draft cost.
-        if (Opts.Speculate == nn::SpecMode::Auto && !J.SpecGateDecided) {
-          J.SpecProposed += static_cast<uint64_t>(J.SJ.Proposed);
-          J.SpecAccepted += static_cast<uint64_t>(J.SJ.Accepted);
-          if (++J.SpecRoundsSeen >= Opts.SpecProbeRounds &&
-              !J.SJ.Finished) {
-            J.SpecGateDecided = true;
-            double Acc = J.SpecProposed
-                             ? static_cast<double>(J.SpecAccepted) /
-                                   static_cast<double>(J.SpecProposed)
-                             : 0.0;
-            if (Acc < Opts.SpecMinAcceptance) {
-              J.SJ.Gamma = 0;
-              Ins.SpecFallbacks->add(S.Index, 1);
-            }
-          }
-        }
-        if (J.SJ.Finished)
-          RetireJob(std::move(J));
-        else
-          Jobs[Keep++] = std::move(Jobs[JI]);
-      }
-      Jobs.resize(Keep);
-      if (BC.Constraint) {
-        Ins.TokensMasked->add(S.Index, OracleStats.TokensMasked);
-        Ins.BeamsKilled->add(S.Index, OracleStats.BeamsKilled);
-        Ins.OracleSeconds->add(S.Index, OracleStats.OracleSeconds);
-        if (TraceTick && OracleStats.OracleSeconds > 0) {
-          // Synthesized from the tick's accumulated mask time: anchored
-          // to end at now, inside the round span.
-          uint64_t End = TR.nowNs();
-          uint64_t Dur = secondsToNs(OracleStats.OracleSeconds);
-          TR.record(obs::SpanKind::OracleMask,
-                    static_cast<uint64_t>(S.Index),
-                    End > Dur ? End - Dur : 0, End);
-        }
-        OracleStats = nn::ConstraintStats();
-      }
-      // No survivor gather here: commitSpec already adopted the
-      // accepted frontier and dropped retired jobs' rows.
-      continue;
-    }
 
     // -- one fused decode tick over every live row -------------------------
     Tokens.clear();

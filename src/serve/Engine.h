@@ -135,25 +135,6 @@ struct EngineOptions {
   /// and kills fully-masked beams mid-flight (their K/V rows free
   /// exactly like deadline aborts).
   nn::ConstrainMode Constrain = nn::ConstrainMode::Off;
-  /// Speculative decoding (--speculate). Off leaves the plain tick path
-  /// untouched (zero overhead). Auto/On replace each shard tick with a
-  /// propose/verify round (nn/SpecDecode.h): the decompiler's attached
-  /// draft (core::Decompiler::attachDraft; silently plain without one)
-  /// proposes up to DraftGamma beam steps per source, the full model
-  /// scores all of them in ONE batched call and accepts the longest
-  /// agreeing prefix. Outputs stay byte-identical at every shard count
-  /// and mode — speculation only changes how many exact beam steps one
-  /// batched call yields.
-  nn::SpecMode Speculate = nn::SpecMode::Off;
-  /// Draft proposal depth per speculative round.
-  int DraftGamma = 4;
-  /// Auto's per-request acceptance gate: after SpecProbeRounds rounds, a
-  /// request whose acceptance rate (accepted / proposed) is below
-  /// SpecMinAcceptance stops proposing — its rounds degrade to plain
-  /// steps through the same machinery, bounding the worst case at the
-  /// draft cost of the probe rounds. On never gates.
-  double SpecMinAcceptance = 0.35;
-  int SpecProbeRounds = 3;
   /// Metrics registry to register this engine's instruments and
   /// coherent-snapshot collector in (obs/Metrics.h). Null = the engine
   /// owns a private registry; either way EngineMetrics/JSONL are thin
@@ -232,12 +213,6 @@ struct EngineMetrics {
   uint64_t BeamsKilled = 0;  ///< Beams whose every candidate was masked.
   uint64_t TokensMasked = 0; ///< Vocab entries masked, summed over steps.
   double OracleSeconds = 0;  ///< Time inside the oracle/mask code.
-  // -- speculative-decode counters (zero when Speculate is Off) ----------
-  uint64_t DraftProposed = 0; ///< Draft-proposed beam steps, all shards.
-  uint64_t DraftAccepted = 0; ///< Proposals the full model agreed with.
-  uint64_t SpecRounds = 0;    ///< Propose/verify rounds ticked.
-  uint64_t SpecFallbacks = 0; ///< Requests the Auto gate reverted to plain.
-  double DraftSeconds = 0;    ///< Time inside draft forward + simulation.
   // -- typed-outcome counters (the overload/robustness picture) ----------
   size_t Shed = 0;         ///< QueueFull rejections (load-shedding mode).
   size_t Expired = 0;      ///< DeadlineExpired resolutions (any stage).
@@ -393,11 +368,6 @@ private:
     obs::Counter *BeamsKilled = nullptr;
     obs::Counter *TokensMasked = nullptr;
     obs::FloatCounter *OracleSeconds = nullptr;
-    obs::Counter *DraftProposed = nullptr;
-    obs::Counter *DraftAccepted = nullptr;
-    obs::Counter *SpecRounds = nullptr;
-    obs::Counter *SpecFallbacks = nullptr;
-    obs::FloatCounter *DraftSeconds = nullptr;
     obs::Counter *ParallelRegions = nullptr; ///< Pool fan-outs, per shard.
     obs::Gauge *TickThreadsGauge = nullptr;  ///< Resolved TickThreads.
     obs::Gauge *LiveSourcesGauge = nullptr;

@@ -555,7 +555,7 @@ TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
         Logits = Model.stepDecodeBatch(St, R.Tokens);
       }
     }
-    DistinctStates += CC.Masks->ByState.size();
+    DistinctStates += CC.Masks.ByState.size();
     EXPECT_EQ(Stats.TokensMasked, DirectMasked) << T.Name;
     EXPECT_EQ(Stats.BeamsKilled, DirectKilled) << T.Name;
     std::vector<nn::Hypothesis> Hyps = nn::beamcore::finalizeBeams(

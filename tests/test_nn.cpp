@@ -377,38 +377,6 @@ TEST(Gemm, PrepackedMatchesUnpackedBitExact) {
   }
 }
 
-TEST(Gemm, Int8RowSplitMatchesFullBitExact) {
-  // The int8 draft path's parallel split unit: any row partition of
-  // gemmI8NTRows must reproduce one gemmI8NT call byte-for-byte — the
-  // int32 accumulation is exact, so per-row results cannot depend on
-  // the partition.
-  struct Shape {
-    int M, K, N;
-  };
-  const Shape Shapes[] = {{1, 64, 192}, {5, 64, 192}, {5, 64, 512},
-                          {4, 64, 64},  {5, 128, 64}, {3, 48, 100}};
-  uint64_t Seed = 4242;
-  for (const Shape &S : Shapes) {
-    auto A = randomVec(static_cast<size_t>(S.M) * S.K, Seed++);
-    auto W = randomVec(static_cast<size_t>(S.N) * S.K, Seed++);
-    QuantizedMat AQ = quantizeRowsI8(A.data(), S.M, S.K);
-    QuantizedMat WQ = quantizeRowsI8(W.data(), S.N, S.K);
-
-    std::vector<float> Ref(static_cast<size_t>(S.M) * S.N, 0.0f);
-    gemmI8NT(AQ, WQ, Ref.data());
-
-    for (int Chunk : {1, 2, 3}) {
-      std::vector<float> Split(Ref.size(), 0.0f);
-      for (int I0 = 0; I0 < S.M; I0 += Chunk)
-        gemmI8NTRows(AQ, WQ, Split.data(), I0,
-                     std::min(S.M, I0 + Chunk));
-      ASSERT_EQ(0, std::memcmp(Ref.data(), Split.data(),
-                               Ref.size() * sizeof(float)))
-          << S.M << "x" << S.K << "x" << S.N << " chunk " << Chunk;
-    }
-  }
-}
-
 TEST(Parallel, RunCoversRangeExactlyOnce) {
   // Disjoint chunk cover of [0, N): every index exactly once, chunk ids
   // dense from 0, chunk 0 on the calling thread, and the regions counter
@@ -896,9 +864,14 @@ TEST(Transformer, BatchedStepBitExactAcrossTickThreads) {
         }
       for (int Threads : {1, 2, 4}) {
         ParallelFor TP(Threads);
+        // The engine's calls: one segment per source, each admitted with
+        // its BOS row.
         Transformer::BatchDecodeState St =
-            Model.startDecodeBatchMulti(Encs, K, 16);
+            Model.startDecodeStream(static_cast<int>(Encs.size()), K, 16);
         St.TP = &TP;
+        for (size_t S = 0; S < Encs.size(); ++S)
+          ASSERT_EQ(Model.admitStreamRow(St, static_cast<int>(S), Encs[S]),
+                    static_cast<int>(S));
         Model.stepDecodeBatch(
             St, std::vector<int>(Encs.size(), Transformer::BosId));
         std::vector<int> Fan;

@@ -508,7 +508,8 @@ TEST(Engine, CrossShardSingleFlightAttach) {
   // A burst of identical requests with the decode LRU OFF: the first
   // occupies a row on some shard; the dispatcher must route every
   // later duplicate to THAT shard as an attach (cross-shard
-  // single-flight), not decode it again elsewhere.
+  // single-flight), not decode it again elsewhere. Every request
+  // resolves under its own name, attached duplicates included.
   ServeFixture F(4);
   ASSERT_GE(F.Tasks.size(), 2u);
   const std::string &A = F.Tasks[0].Prog.TargetAsm;
@@ -522,17 +523,19 @@ TEST(Engine, CrossShardSingleFlightAttach) {
   EO.UseDecodeCache = false;
   serve::Engine Eng(*F.Slade, EO);
 
-  std::vector<serve::Handle> Futs;
-  Futs.push_back(Eng.submit({"a0", A, {}, {}, nullptr}));
-  Futs.push_back(Eng.submit({"b", B, {}, {}, nullptr}));
+  std::vector<std::string> Names = {"a0", "b"};
   for (int K = 1; K <= 10; ++K)
-    Futs.push_back(Eng.submit({"a" + std::to_string(K), A, {}, {},
-                               nullptr}));
+    Names.push_back("a" + std::to_string(K));
+  std::vector<serve::Handle> Futs;
+  for (const std::string &Name : Names)
+    Futs.push_back(Eng.submit({Name, Name == "b" ? B : A, {}, {}, nullptr}));
   std::string SoloA = F.Slade->translate(A, EO.BeamSize, EO.MaxLen);
   std::string SoloB = F.Slade->translate(B, EO.BeamSize, EO.MaxLen);
-  for (size_t K = 0; K < Futs.size(); ++K)
-    EXPECT_EQ(Futs[K].get().CSource, K == 1 ? SoloB : SoloA)
-        << "request " << K;
+  for (size_t K = 0; K < Futs.size(); ++K) {
+    serve::RequestResult R = Futs[K].get();
+    EXPECT_EQ(R.CSource, K == 1 ? SoloB : SoloA) << "request " << K;
+    EXPECT_EQ(R.Name, Names[K]) << "request " << K;
+  }
   serve::EngineMetrics M = Eng.metrics();
   EXPECT_EQ(M.Completed, Futs.size());
   EXPECT_GE(M.InFlightDeduped, 1u)
@@ -592,6 +595,10 @@ TEST(Engine, ShardBackfillAfterMassRetirement) {
   EO.MaxLiveSources = 1;
   EO.Shards = 2;
   EO.UseDecodeCache = false;
+  // Every tick sleeps SlowTickSeconds, so shard 0 is still decoding
+  // request 1 when request 2 is placed (without it, a fast decode could
+  // retire first and the tie would send request 2 to shard 0 again).
+  EO.Faults.SlowTick = 1;
   serve::Engine Eng(*F.Slade, EO);
 
   std::vector<serve::Handle> Futs;

@@ -107,17 +107,6 @@ void usage() {
       "                       gates the run: any produced candidate that\n"
       "                       the C frontend rejects is an error\n"
       "                       (default off, byte-identical to before)\n"
-      "  --speculate M        off|auto|on: speculative decoding. A\n"
-      "                       1-layer int8 draft decoder (distilled at\n"
-      "                       startup from the full model) proposes\n"
-      "                       several beam steps per round; the full\n"
-      "                       model verifies them in one batched call.\n"
-      "                       Outputs are byte-identical in every mode;\n"
-      "                       auto reverts a request to plain decode\n"
-      "                       when its measured acceptance rate is low\n"
-      "                       (default off)\n"
-      "  --draft-gamma N      draft proposal depth per speculative\n"
-      "                       round (default 4)\n"
       "  --maxlen N           max decoded tokens, >= 1 (default 220)\n"
       "  --threads N          encode + verify worker threads, 0 =\n"
       "                       hardware (default)\n"
@@ -237,25 +226,6 @@ bool parseArgs(int argc, char **argv, CliOptions *O) {
         std::fprintf(stderr, "error: --constrain must be off|syntax\n");
         return false;
       }
-    } else if (A == "--speculate") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      if (std::strcmp(V, "on") == 0) {
-        E.Speculate = nn::SpecMode::On;
-      } else if (std::strcmp(V, "auto") == 0) {
-        E.Speculate = nn::SpecMode::Auto;
-      } else if (std::strcmp(V, "off") == 0) {
-        E.Speculate = nn::SpecMode::Off;
-      } else {
-        std::fprintf(stderr, "error: --speculate must be off|auto|on\n");
-        return false;
-      }
-    } else if (A == "--draft-gamma") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      E.DraftGamma = std::max(1, std::atoi(V));
     } else if (A == "--beam") {
       const char *V = Next();
       if (!V)
@@ -665,19 +635,6 @@ void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
                  Label, static_cast<unsigned long long>(EM.TokensMasked),
                  static_cast<unsigned long long>(EM.BeamsKilled),
                  EM.OracleSeconds);
-  if (EM.SpecRounds > 0)
-    std::fprintf(
-        stderr,
-        "[%s] speculate: %llu/%llu proposals accepted (%.0f%%), "
-        "%llu rounds, %llu fallbacks, draft %.3fs\n",
-        Label, static_cast<unsigned long long>(EM.DraftAccepted),
-        static_cast<unsigned long long>(EM.DraftProposed),
-        EM.DraftProposed ? 100.0 * static_cast<double>(EM.DraftAccepted) /
-                               static_cast<double>(EM.DraftProposed)
-                         : 0.0,
-        static_cast<unsigned long long>(EM.SpecRounds),
-        static_cast<unsigned long long>(EM.SpecFallbacks),
-        EM.DraftSeconds);
   std::fprintf(stderr,
                "[%s] %zu attached in flight, decode cache %zu hits / %zu "
                "misses (%.1f KiB); per-shard utilization:",
@@ -730,11 +687,6 @@ std::string streamJson(const char *Label, const StreamOutcome &SO) {
      << ", \"beams_killed\": " << EM.BeamsKilled
      << ", \"tokens_masked\": " << EM.TokensMasked
      << ", \"oracle_s\": " << EM.OracleSeconds
-     << ", \"draft_proposed\": " << EM.DraftProposed
-     << ", \"draft_accepted\": " << EM.DraftAccepted
-     << ", \"spec_rounds\": " << EM.SpecRounds
-     << ", \"spec_fallbacks\": " << EM.SpecFallbacks
-     << ", \"draft_s\": " << EM.DraftSeconds
      << ", \"deduped_in_flight\": " << EM.InFlightDeduped
      << ", \"decode_cache_hits\": " << EM.DecodeCacheHits
      << ", \"decode_cache_misses\": " << EM.DecodeCacheMisses
@@ -879,36 +831,6 @@ int main(int argc, char **argv) {
                          static_cast<size_t>(O.EncCacheMb) << 20,
                          /*DecodeCacheCap=*/256,
                          static_cast<size_t>(O.DecCacheMb) << 20);
-
-  if (O.Engine.Speculate != nn::SpecMode::Off) {
-    // Distill the 1-layer draft proposer once at startup from this run's
-    // own sources (deterministic; nn/DraftModel.h). The draft only ever
-    // proposes — every committed step is full-model verified — so a
-    // mediocre distillation costs speed, never output bytes.
-    std::vector<std::vector<int>> Sources;
-    for (const core::EvalTask &T : Tasks)
-      Sources.push_back(Slade.tokenizer().encode(T.Prog.TargetAsm));
-    for (const StreamItem &J : AsmJobs)
-      Sources.push_back(Slade.tokenizer().encode(J.Asm));
-    size_t Cap = static_cast<size_t>(
-        std::max(1, envInt("SLADE_SERVE_DRAFT_SOURCES", 12)));
-    if (Sources.size() > Cap)
-      Sources.resize(Cap);
-    nn::DraftConfig DC;
-    DC.Steps = envInt("SLADE_SERVE_DRAFT_STEPS", 120);
-    DC.MaxTeacherLen = std::min(
-        O.Engine.MaxLen, envInt("SLADE_SERVE_DRAFT_TEACHER_LEN", 96));
-    auto T0 = std::chrono::steady_clock::now();
-    Slade.attachDraft(std::make_shared<const nn::DraftModel>(
-        nn::DraftModel::distill(Slade.model(), Sources, DC)));
-    double Secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - T0)
-                      .count();
-    std::fprintf(stderr,
-                 "[serve] distilled draft decoder from %zu source(s) in "
-                 "%.2fs (gamma %d)\n",
-                 Sources.size(), Secs, O.Engine.DraftGamma);
-  }
 
   // -- observability ----------------------------------------------------------
   // One registry for the whole process, declared before the engine so it
