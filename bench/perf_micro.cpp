@@ -173,6 +173,19 @@ void BM_DecodeStep(benchmark::State &State) {
 }
 BENCHMARK(BM_DecodeStep);
 
+/// A one-source state over \p Enc with room for 256 positions, its BOS
+/// row stepped and fanned out to five beams: the tick the 5-beam
+/// benchmarks below time.
+nn::Transformer::BatchDecodeState
+fiveBeamState(const nn::Transformer &Model,
+              std::shared_ptr<const nn::Transformer::EncoderCache> Enc) {
+  nn::Transformer::BatchDecodeState St = Model.startDecodeStream(1, 5, 256);
+  Model.admitStreamRow(St, 0, std::move(Enc));
+  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
+  Model.reorderBeams(St, {0, 0, 0, 0, 0});
+  return St;
+}
+
 /// One batched step for five beams — the amortized per-step cost of the
 /// batched beam search (compare against 5x BM_DecodeStep).
 void BM_DecodeStepBatched5(benchmark::State &State) {
@@ -181,19 +194,13 @@ void BM_DecodeStepBatched5(benchmark::State &State) {
   nn::Transformer Model(MC);
   std::vector<int> Src(128, 5);
   auto Enc = Model.encodeSource(Src);
-  nn::Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, 5, 256);
-  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-  Model.reorderBeams(St, {0, 0, 0, 0, 0});
+  nn::Transformer::BatchDecodeState St = fiveBeamState(Model, Enc);
   std::vector<int> Tokens = {7, 8, 9, 10, 11};
   for (auto _ : State) {
     auto Logits = Model.stepDecodeBatch(St, Tokens);
     benchmark::DoNotOptimize(Logits);
-    if (St.Len > 200) {
-      St = Model.startDecodeBatch(Enc, 5, 256);
-      Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-      Model.reorderBeams(St, {0, 0, 0, 0, 0});
-    }
+    if (St.Len > 200)
+      St = fiveBeamState(Model, Enc);
   }
 }
 BENCHMARK(BM_DecodeStepBatched5);
@@ -243,20 +250,15 @@ void BM_TickThreadScaling(benchmark::State &State) {
   std::vector<int> Src(128, 5);
   auto Enc = Model.encodeSource(Src);
   nn::ParallelFor TP(static_cast<int>(State.range(0)));
-  nn::Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, 5, 256);
+  nn::Transformer::BatchDecodeState St = fiveBeamState(Model, Enc);
   St.TP = &TP;
-  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-  Model.reorderBeams(St, {0, 0, 0, 0, 0});
   std::vector<int> Tokens = {7, 8, 9, 10, 11};
   for (auto _ : State) {
     auto Logits = Model.stepDecodeBatch(St, Tokens);
     benchmark::DoNotOptimize(Logits);
     if (St.Len > 200) {
-      St = Model.startDecodeBatch(Enc, 5, 256);
+      St = fiveBeamState(Model, Enc);
       St.TP = &TP;
-      Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-      Model.reorderBeams(St, {0, 0, 0, 0, 0});
     }
   }
 }
@@ -329,7 +331,8 @@ void BM_BeamSelect(benchmark::State &State, bool Constrained) {
       break;
     auto Enc = Model.encodeSource(Sys->Tok.encode(T.Prog.TargetAsm));
     nn::Transformer::BatchDecodeState St =
-        Model.startDecodeBatch(Enc, BC.BeamSize, BC.MaxLen + 1);
+        Model.startDecodeStream(1, BC.BeamSize, BC.MaxLen + 1);
+    Model.admitStreamRow(St, 0, Enc);
     std::vector<float> Logits =
         Model.stepDecodeBatch(St, {nn::Transformer::BosId});
     std::vector<nn::beamcore::BeamMeta> Live(1);
@@ -395,10 +398,7 @@ void BM_TraceOverhead(benchmark::State &State) {
   nn::Transformer Model(MC);
   std::vector<int> Src(128, 5);
   auto Enc = Model.encodeSource(Src);
-  nn::Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Enc, 5, 256);
-  Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-  Model.reorderBeams(St, {0, 0, 0, 0, 0});
+  nn::Transformer::BatchDecodeState St = fiveBeamState(Model, Enc);
   std::vector<int> Tokens = {7, 8, 9, 10, 11};
 
   // Private recorder + registry: the benchmark never dirties the global
@@ -430,11 +430,8 @@ void BM_TraceOverhead(benchmark::State &State) {
       R.record(obs::SpanKind::Tick, 0, TickStart, R.nowNs(),
                Tokens.size());
     benchmark::DoNotOptimize(R.sampled(++Seq));
-    if (St.Len > 200) {
-      St = Model.startDecodeBatch(Enc, 5, 256);
-      Model.stepDecodeBatch(St, {nn::Transformer::BosId});
-      Model.reorderBeams(St, {0, 0, 0, 0, 0});
-    }
+    if (St.Len > 200)
+      St = fiveBeamState(Model, Enc);
   }
 }
 BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1)->Arg(2);

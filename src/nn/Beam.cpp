@@ -9,69 +9,50 @@
 
 using namespace slade;
 using namespace slade::nn;
-// The per-source selection/retirement logic lives in nn/BeamCore.h so the
-// serve engine's continuous-batching driver shares it verbatim.
+// The per-source selection logic and the batched driver live in
+// nn/BeamCore.h, shared with the serve engine's shards; the two softmaxes
+// are out of line here (see the note in BeamCore.h).
 using namespace slade::nn::beamcore;
+
+void slade::nn::beamcore::logSoftmax(const float *Logits, int V,
+                                     std::vector<float> &Out) {
+  float MaxV = -1e30f;
+  for (int I = 0; I < V; ++I)
+    MaxV = std::max(MaxV, Logits[I]);
+  double Sum = 0;
+  for (int I = 0; I < V; ++I)
+    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
+  float LogZ = MaxV + static_cast<float>(std::log(Sum));
+  Out.resize(static_cast<size_t>(V));
+  for (int I = 0; I < V; ++I)
+    Out[static_cast<size_t>(I)] = Logits[I] - LogZ;
+}
+
+bool slade::nn::beamcore::logSoftmaxAllowed(const float *Logits,
+                                            const std::vector<uint16_t> &Ids,
+                                            std::vector<float> &LogP) {
+  float MaxV = -1e30f;
+  for (uint16_t I : Ids)
+    MaxV = std::max(MaxV, Logits[I]);
+  double Sum = 0;
+  for (uint16_t I : Ids)
+    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
+  float LogZ = MaxV + static_cast<float>(std::log(Sum));
+  float MaskedLogP = -1e30f - LogZ;
+  bool Above = true;
+  for (uint16_t I : Ids) {
+    LogP[I] = Logits[I] - LogZ;
+    Above &= LogP[I] > MaskedLogP;
+  }
+  return Above;
+}
 
 namespace {
 
-/// The search loop, shared by the batched and sequential paths. A Stepper
-/// exposes:
-///   int start()                      - run the BOS step, return live count
-///   const float *logits(int Beam)    - next-token logits of a live beam
-///   void advance(SrcIdx, Tokens)     - survivor-select then step once
-///   int vocab()
-template <typename Stepper>
-std::vector<Hypothesis> beamSearchImpl(Stepper &Step, const BeamConfig &Cfg) {
-  std::vector<BeamMeta> Live(1);
-  Step.start();
-  std::vector<Hypothesis> Done;
-  SelectScratch S;
-  ConstraintCtx CC;
-  CC.init(Cfg);
-
-  for (int It = 0; It < Cfg.MaxLen && !Live.empty(); ++It) {
-    SelectResult R = selectBeamStep(
-        Live, Done,
-        [&](size_t BI) { return Step.logits(static_cast<int>(BI)); },
-        Step.vocab(), Cfg, S, &CC);
-    if (R.StopNow)
-      break;
-    if (!Live.empty())
-      Step.advance(R.SrcIdx, R.Tokens);
-  }
-  return finalizeBeams(std::move(Live), std::move(Done), Cfg, &CC);
+/// A config the search can run: at least one beam and one step.
+bool decodes(const BeamConfig &Cfg) {
+  return Cfg.BeamSize >= 1 && Cfg.MaxLen >= 1;
 }
-
-/// Batched stepper: one BatchDecodeState, survivor selection is an
-/// index-gather over the contiguous self-cache rows.
-struct BatchedStepper {
-  const Transformer &Model;
-  Transformer::BatchDecodeState St;
-  std::vector<float> Logits; ///< [B, Vocab].
-
-  BatchedStepper(const Transformer &Model, const std::vector<int> &Src,
-                 const BeamConfig &Cfg)
-      : BatchedStepper(Model, Model.encodeSource(Src), Cfg) {}
-  BatchedStepper(const Transformer &Model,
-                 std::shared_ptr<const Transformer::EncoderCache> Enc,
-                 const BeamConfig &Cfg)
-      : Model(Model), St(Model.startDecodeBatch(std::move(Enc),
-                                                Cfg.BeamSize,
-                                                Cfg.MaxLen + 1)) {}
-
-  void start() { Logits = Model.stepDecodeBatch(St, {Transformer::BosId}); }
-  const float *logits(int Beam) const {
-    return Logits.data() +
-           static_cast<size_t>(Beam) * Model.config().Vocab;
-  }
-  int vocab() const { return Model.config().Vocab; }
-  void advance(const std::vector<int> &SrcIdx,
-               const std::vector<int> &Tokens) {
-    Model.reorderBeams(St, SrcIdx);
-    Logits = Model.stepDecodeBatch(St, Tokens);
-  }
-};
 
 /// Sequential stepper: per-beam DecodeStates, deep-copied on survivor
 /// selection (the pre-batching behavior, retained as reference/baseline).
@@ -80,8 +61,7 @@ struct SequentialStepper {
   std::vector<Transformer::DecodeState> States;
   std::vector<std::vector<float>> Logits;
 
-  SequentialStepper(const Transformer &Model, const std::vector<int> &Src,
-                    const BeamConfig &)
+  SequentialStepper(const Transformer &Model, const std::vector<int> &Src)
       : Model(Model) {
     States.push_back(Model.startDecode(Src));
   }
@@ -114,43 +94,48 @@ struct SequentialStepper {
 std::vector<Hypothesis> slade::nn::beamSearch(const Transformer &Model,
                                               const std::vector<int> &Src,
                                               const BeamConfig &Cfg) {
-  BatchedStepper Step(Model, Src, Cfg);
-  return beamSearchImpl(Step, Cfg);
+  if (!decodes(Cfg))
+    return {};
+  return beamSearch(Model, Model.encodeSource(Src), Cfg);
 }
 
 std::vector<Hypothesis>
 slade::nn::beamSearch(const Transformer &Model,
                       std::shared_ptr<const Transformer::EncoderCache> Enc,
                       const BeamConfig &Cfg) {
-  BatchedStepper Step(Model, std::move(Enc), Cfg);
-  return beamSearchImpl(Step, Cfg);
+  if (!decodes(Cfg))
+    return {};
+  BeamBatch Batch(Model, Cfg, /*MaxSources=*/1);
+  Batch.admit(std::move(Enc)); // An idle batch admits any weight version.
+  std::vector<BeamBatch::Finished> Out;
+  while (Out.empty())
+    Batch.step(Out);
+  return std::move(Out.front().Hyps);
 }
 
 std::vector<Hypothesis>
 slade::nn::beamSearchSequential(const Transformer &Model,
                                 const std::vector<int> &Src,
                                 const BeamConfig &Cfg) {
-  SequentialStepper Step(Model, Src, Cfg);
-  return beamSearchImpl(Step, Cfg);
-}
+  if (!decodes(Cfg))
+    return {};
+  SequentialStepper Step(Model, Src);
+  std::vector<BeamMeta> Live(1);
+  Step.start();
+  std::vector<Hypothesis> Done;
+  SelectScratch S;
+  ConstraintCtx CC;
+  CC.init(Cfg);
 
-std::vector<int> slade::nn::greedyDecode(const Transformer &Model,
-                                         const std::vector<int> &Src,
-                                         int MaxLen) {
-  Transformer::BatchDecodeState St =
-      Model.startDecodeBatch(Model.encodeSource(Src), 1, MaxLen + 1);
-  std::vector<float> Logits =
-      Model.stepDecodeBatch(St, {Transformer::BosId});
-  std::vector<int> Out;
-  for (int Step = 0; Step < MaxLen; ++Step) {
-    int Best = 0;
-    for (size_t I = 1; I < Logits.size(); ++I)
-      if (Logits[I] > Logits[static_cast<size_t>(Best)])
-        Best = static_cast<int>(I);
-    if (Best == Transformer::EosId || Best == Transformer::PadId)
+  for (int It = 0; It < Cfg.MaxLen && !Live.empty(); ++It) {
+    SelectResult R = selectBeamStep(
+        Live, Done,
+        [&](size_t BI) { return Step.logits(static_cast<int>(BI)); },
+        Step.vocab(), Cfg, S, &CC);
+    if (R.StopNow)
       break;
-    Out.push_back(Best);
-    Logits = Model.stepDecodeBatch(St, {Best});
+    if (!Live.empty())
+      Step.advance(R.SrcIdx, R.Tokens);
   }
-  return Out;
+  return finalizeBeams(std::move(Live), std::move(Done), Cfg, &CC);
 }

@@ -6,13 +6,17 @@
 /// the IO tests. Greedy decoding is the k=1 special case used by the BTC
 /// baseline.
 ///
-/// The default beamSearch runs all beams through the model per step as one
-/// batch (shared encoder/cross caches, batched GEMMs, survivor selection
-/// by index-gather). beamSearchSequential is the retained one-step-per-beam
-/// reference path: it runs the same search algorithm over per-beam
-/// DecodeStates that are deep-copied on survivor selection, and exists for
-/// equivalence tests and as the benchmark baseline. Decoding many sources
-/// in one fused batch is the serve engine's job (serve/Engine.h).
+/// beamSearch runs all beams through the model per step as one batch
+/// (shared encoder/cross caches, batched GEMMs, survivor selection by
+/// index-gather): it is a one-source run of the batched driver that every
+/// serve engine shard runs over many sources (nn/BeamCore.h).
+/// beamSearchSequential is the retained one-step-per-beam reference path:
+/// it runs the same selection over per-beam DecodeStates that are
+/// deep-copied on survivor selection, and exists for equivalence tests and
+/// as the benchmark baseline.
+///
+/// Every search needs BeamSize >= 1 and MaxLen >= 1; any other config
+/// returns no hypotheses.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_BEAM_H
@@ -80,10 +84,6 @@ beamSearch(const Transformer &Model,
 std::vector<Hypothesis> beamSearchSequential(const Transformer &Model,
                                              const std::vector<int> &Src,
                                              const BeamConfig &Cfg);
-
-/// Greedy decode (beam of one, no reordering).
-std::vector<int> greedyDecode(const Transformer &Model,
-                              const std::vector<int> &Src, int MaxLen);
 
 } // namespace nn
 } // namespace slade

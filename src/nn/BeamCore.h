@@ -1,13 +1,15 @@
-//===- BeamCore.h - shared beam-search selection core -----------*- C++ -*-===//
+//===- BeamCore.h - beam selection and the batched driver -------*- C++ -*-===//
 ///
 /// \file
-/// The per-source beam-search bookkeeping shared by every decode driver:
-/// the single-source loop in Beam.cpp and the continuous-batching serve
-/// engine (serve/Engine.cpp). Keeping the
-/// log-softmax / top-k / candidate-ordering / retirement logic in ONE
-/// place is what makes the drivers byte-identical per source: they can
-/// only differ in how rows are batched, never in which hypotheses
-/// survive.
+/// The beam search itself: the per-source selection logic (log-softmax,
+/// top-k, candidate ordering, retirement) and BeamBatch, the one driver
+/// that steps it over a fused batch of sources. nn::beamSearch runs one
+/// source through a BeamBatch and every serve engine shard
+/// (serve/Engine.cpp) owns one, so a solo search and a served request
+/// run the same code and can only differ in which other rows share the
+/// batch, never in which hypotheses survive. The sequential reference
+/// (beamSearchSequential) calls the same selection functions from its
+/// own loop.
 ///
 /// Internal header — not part of the public API surface (include from
 /// .cpp files only).
@@ -32,19 +34,14 @@ namespace slade {
 namespace nn {
 namespace beamcore {
 
+// The two softmaxes are defined out of line (Beam.cpp) on purpose.
+// Inlined into a selection loop, GCC 12 at -O3 with AVX2 let a vectorized
+// loop leave the upper YMM state dirty into the next row's scalar
+// std::exp calls, which then ran about 30x slower (a 64-token k=5 search
+// went from 5.7 to 29 ms). A function returns with that state clean.
+
 /// Log-softmax into a reused output buffer.
-inline void logSoftmax(const float *Logits, int V, std::vector<float> &Out) {
-  float MaxV = -1e30f;
-  for (int I = 0; I < V; ++I)
-    MaxV = std::max(MaxV, Logits[I]);
-  double Sum = 0;
-  for (int I = 0; I < V; ++I)
-    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
-  float LogZ = MaxV + static_cast<float>(std::log(Sum));
-  Out.resize(static_cast<size_t>(V));
-  for (int I = 0; I < V; ++I)
-    Out[static_cast<size_t>(I)] = Logits[I] - LogZ;
-}
+void logSoftmax(const float *Logits, int V, std::vector<float> &Out);
 
 /// Log-probabilities of the allowed entries \p Ids (ascending) of a row
 /// whose other entries are masked to -1e30f, as logSoftmax gives them
@@ -56,24 +53,8 @@ inline void logSoftmax(const float *Logits, int V, std::vector<float> &Out) {
 /// results are bit-exact, and masked entries can only trail the row's
 /// top-k. Otherwise (logits at or near -1e30f, or NaN) the caller takes
 /// the full path.
-inline bool logSoftmaxAllowed(const float *Logits,
-                              const std::vector<uint16_t> &Ids,
-                              std::vector<float> &LogP) {
-  float MaxV = -1e30f;
-  for (uint16_t I : Ids)
-    MaxV = std::max(MaxV, Logits[I]);
-  double Sum = 0;
-  for (uint16_t I : Ids)
-    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
-  float LogZ = MaxV + static_cast<float>(std::log(Sum));
-  float MaskedLogP = -1e30f - LogZ;
-  bool Above = true;
-  for (uint16_t I : Ids) {
-    LogP[I] = Logits[I] - LogZ;
-    Above &= LogP[I] > MaskedLogP;
-  }
-  return Above;
-}
+bool logSoftmaxAllowed(const float *Logits, const std::vector<uint16_t> &Ids,
+                       std::vector<float> &LogP);
 
 /// Top-K of the N candidate token ids IdOf(0..N) by (log-prob desc,
 /// index asc) via a bounded min-heap: O(N log K), scratch reused across
@@ -201,8 +182,8 @@ struct ConstraintCtx {
 /// live beam, deterministic candidate ordering (score desc, then beam,
 /// then token — ties never diverge between decode paths), EOS/PAD
 /// candidates retire into \p Done, survivors replace \p Live. Shared by
-/// the single-source search loop and the serve engine, so their
-/// per-source decisions are the same code.
+/// BeamBatch and the sequential reference loop, so their per-source
+/// decisions are the same code.
 template <typename LogitsOf>
 SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
                             std::vector<Hypothesis> &Done,
@@ -343,6 +324,131 @@ inline std::vector<Hypothesis> finalizeBeams(std::vector<BeamMeta> &&Live,
     Done.resize(static_cast<size_t>(Cfg.BeamSize));
   return std::move(Done);
 }
+
+/// Beam search over up to MaxSources sources in one fused
+/// BatchDecodeState: a source is admitted into a free self-K/V segment,
+/// then every step() runs one stepDecodeBatch over all live rows and one
+/// selectBeamStep per source, and retires the sources that finished.
+/// Each source's hypotheses equal a solo search's, whatever else shares
+/// the batch or when it joined (per-row forward results never depend on
+/// the other rows). Requires Cfg.BeamSize >= 1 and Cfg.MaxLen >= 1.
+class BeamBatch {
+public:
+  /// A source retired by step(): its segment (free again), the
+  /// selection steps it took, and its finalized hypotheses.
+  struct Finished {
+    int Seg = -1;
+    int Steps = 0;
+    std::vector<Hypothesis> Hyps;
+  };
+
+  /// A source takes at most Cfg.MaxLen forward steps, so that is each
+  /// segment's capacity. The state is sized for at least one beam and
+  /// one step, so construction is safe at any config.
+  BeamBatch(const Transformer &Model, const BeamConfig &Cfg, int MaxSources)
+      : Model(Model), Cfg(Cfg),
+        St(Model.startDecodeStream(MaxSources, std::max(1, Cfg.BeamSize),
+                                   std::max(1, Cfg.MaxLen))) {
+    // LIFO, handing out 0, 1, 2, ... first: a retire-then-admit reuses
+    // the segment just freed.
+    for (int Seg = MaxSources - 1; Seg >= 0; --Seg)
+      Free.push_back(Seg);
+  }
+
+  /// The decode state, e.g. to attach an intra-tick pool (St.TP).
+  Transformer::BatchDecodeState &state() { return St; }
+  /// Live rows: the rows the next step() feeds.
+  int rows() const { return St.B; }
+
+  /// Binds \p Enc's BOS beam to a free segment and returns the segment,
+  /// or -1 when none is free or \p Enc was built from another weight
+  /// version than the live rows (retry once the batch drains).
+  int admit(std::shared_ptr<const Transformer::EncoderCache> Enc) {
+    if (Free.empty() || Model.admitStreamRow(St, Free.back(), Enc) < 0)
+      return -1;
+    Srcs.emplace_back();
+    Source &S = Srcs.back();
+    S.Seg = Free.back();
+    Free.pop_back();
+    S.Live.resize(1);
+    S.CC.init(Cfg);
+    S.NextTokens = {Transformer::BosId};
+    return S.Seg;
+  }
+
+  /// Drops the live source in segment \p Seg unfinished; the other
+  /// sources' results are unaffected.
+  void abort(int Seg) {
+    Model.abortStreamSegment(St, Seg);
+    Srcs.erase(std::find_if(Srcs.begin(), Srcs.end(),
+                            [Seg](const Source &S) { return S.Seg == Seg; }));
+    Free.push_back(Seg);
+  }
+
+  /// One forward over every live row, then each source's selection.
+  /// Sources that hit the EOS quota, ran out of beams or reached
+  /// Cfg.MaxLen steps are appended to \p Out, in row order.
+  void step(std::vector<Finished> &Out) {
+    if (Srcs.empty())
+      return;
+    Tokens.clear();
+    for (const Source &S : Srcs)
+      Tokens.insert(Tokens.end(), S.NextTokens.begin(), S.NextTokens.end());
+    Logits = Model.stepDecodeBatch(St, Tokens);
+    const size_t Vocab = static_cast<size_t>(Model.config().Vocab);
+    SrcIdx.clear();
+    size_t RowEnd = 0, Keep = 0;
+    for (size_t I = 0; I < Srcs.size(); ++I) {
+      Source &S = Srcs[I];
+      const size_t RowBase = RowEnd;
+      RowEnd += S.Live.size();
+      SelectResult R = selectBeamStep(
+          S.Live, S.Done,
+          [&](size_t BI) { return Logits.data() + (RowBase + BI) * Vocab; },
+          static_cast<int>(Vocab), Cfg, Scratch, &S.CC);
+      ++S.Steps;
+      if (R.StopNow || S.Live.empty() || S.Steps >= Cfg.MaxLen) {
+        Free.push_back(S.Seg);
+        Out.push_back({S.Seg, S.Steps,
+                       finalizeBeams(std::move(S.Live), std::move(S.Done),
+                                     Cfg, &S.CC)});
+        continue;
+      }
+      for (int Idx : R.SrcIdx)
+        SrcIdx.push_back(static_cast<int>(RowBase) + Idx);
+      S.NextTokens = std::move(R.Tokens);
+      if (Keep != I)
+        Srcs[Keep] = std::move(S);
+      ++Keep;
+    }
+    Srcs.erase(Srcs.begin() + static_cast<std::ptrdiff_t>(Keep), Srcs.end());
+    // Survivor gather; B drops to zero when every source retired.
+    Model.reorderBeams(St, SrcIdx);
+  }
+
+private:
+  /// One live source; Srcs is in row order (a source's rows are
+  /// contiguous, and admitStreamRow appends).
+  struct Source {
+    int Seg = -1;
+    std::vector<BeamMeta> Live;
+    std::vector<Hypothesis> Done;
+    ConstraintCtx CC;
+    /// Tokens its rows take next step (Bos when admitted); parallel to
+    /// Live.
+    std::vector<int> NextTokens;
+    int Steps = 0;
+  };
+
+  const Transformer &Model;
+  BeamConfig Cfg;
+  Transformer::BatchDecodeState St;
+  std::vector<int> Free;
+  std::vector<Source> Srcs;
+  SelectScratch Scratch;
+  std::vector<float> Logits;
+  std::vector<int> Tokens, SrcIdx;
+};
 
 } // namespace beamcore
 } // namespace nn

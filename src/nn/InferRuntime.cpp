@@ -373,52 +373,44 @@ InferRuntime::buildDecodeConstants() const {
   int D = M.Cfg.DModel;
   auto C = std::make_shared<Transformer::DecodeConstants>();
   C->Version = M.WeightVersion;
-  // Fused Q|K|V projection per decoder layer: one GEMM projects all three.
-  C->SelfQKVW.resize(M.Dec.size());
-  C->SelfQKVB.resize(M.Dec.size());
-  for (size_t L = 0; L < M.Dec.size(); ++L) {
-    const Transformer::Attn &A = M.Dec[L].Self;
-    std::vector<float> &W = C->SelfQKVW[L];
-    std::vector<float> &B = C->SelfQKVB[L];
-    W.resize(static_cast<size_t>(D) * 3 * D);
-    B.resize(static_cast<size_t>(3) * D);
-    for (int I = 0; I < D; ++I)
-      for (int J = 0; J < D; ++J) {
-        W[static_cast<size_t>(I) * 3 * D + J] = A.Wq.at(I, J);
-        W[static_cast<size_t>(I) * 3 * D + D + J] = A.Wk.at(I, J);
-        W[static_cast<size_t>(I) * 3 * D + 2 * D + J] = A.Wv.at(I, J);
-      }
-    for (int J = 0; J < D; ++J) {
-      B[static_cast<size_t>(J)] = A.Bq.V[static_cast<size_t>(J)];
-      B[static_cast<size_t>(D + J)] = A.Bk.V[static_cast<size_t>(J)];
-      B[static_cast<size_t>(2 * D + J)] = A.Bv.V[static_cast<size_t>(J)];
-    }
-  }
-  C->EmbT.resize(static_cast<size_t>(D) * M.Cfg.Vocab);
-  for (int W = 0; W < M.Cfg.Vocab; ++W)
-    for (int J = 0; J < D; ++J)
-      C->EmbT[static_cast<size_t>(J) * M.Cfg.Vocab + W] = M.TokEmb.at(W, J);
-
   // Pre-pack EVERY persistent weight-side operand into the blocked
   // tile-major microkernel layout, once per weight version. The per-tick
   // GEMMs consume these directly and skip per-call packing.
   size_t NL = M.Dec.size();
+  C->SelfQKVB.resize(NL);
   C->SelfQKVWP.resize(NL);
   C->SelfWoP.resize(NL);
   C->CrossWqP.resize(NL);
   C->CrossWoP.resize(NL);
   C->FF1P.resize(NL);
   C->FF2P.resize(NL);
+  std::vector<float> QKVW(static_cast<size_t>(D) * 3 * D);
   for (size_t L = 0; L < NL; ++L) {
     const Transformer::DecLayer &Lay = M.Dec[L];
-    packBInto(C->SelfQKVW[L].data(), D, 3 * D, C->SelfQKVWP[L]);
+    // Fused Q|K|V projection: one GEMM projects all three.
+    const Transformer::Attn &A = Lay.Self;
+    std::vector<float> &B = C->SelfQKVB[L];
+    B.resize(static_cast<size_t>(3) * D);
+    for (int I = 0; I < D; ++I)
+      for (int J = 0; J < D; ++J) {
+        QKVW[static_cast<size_t>(I) * 3 * D + J] = A.Wq.at(I, J);
+        QKVW[static_cast<size_t>(I) * 3 * D + D + J] = A.Wk.at(I, J);
+        QKVW[static_cast<size_t>(I) * 3 * D + 2 * D + J] = A.Wv.at(I, J);
+      }
+    for (int J = 0; J < D; ++J) {
+      B[static_cast<size_t>(J)] = A.Bq.V[static_cast<size_t>(J)];
+      B[static_cast<size_t>(D + J)] = A.Bk.V[static_cast<size_t>(J)];
+      B[static_cast<size_t>(2 * D + J)] = A.Bv.V[static_cast<size_t>(J)];
+    }
+    packBInto(QKVW.data(), D, 3 * D, C->SelfQKVWP[L]);
     packBInto(Lay.Self.Wo.V.data(), D, D, C->SelfWoP[L]);
     packBInto(Lay.Cross.Wq.V.data(), D, D, C->CrossWqP[L]);
     packBInto(Lay.Cross.Wo.V.data(), D, D, C->CrossWoP[L]);
     packBInto(Lay.W1.V.data(), D, M.Cfg.FF, C->FF1P[L]);
     packBInto(Lay.W2.V.data(), M.Cfg.FF, D, C->FF2P[L]);
   }
-  packBInto(C->EmbT.data(), D, M.Cfg.Vocab, C->EmbTP);
+  // TokEmb is [Vocab, D], i.e. the logits operand [D, Vocab] transposed.
+  packBTransposedInto(M.TokEmb.V.data(), M.Cfg.Vocab, D, C->EmbTP);
   return C;
 }
 
@@ -452,8 +444,9 @@ InferRuntime::buildPackedWeights() const {
 //===----------------------------------------------------------------------===//
 
 Transformer::BatchDecodeState
-InferRuntime::allocDecodeState(int MaxSources, int BeamsPerSource,
-                               int MaxSteps) const {
+InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
+                                int MaxSteps) const {
+  // No live rows: sources are bound later via admitStreamRow.
   assert(MaxSources > 0 && BeamsPerSource > 0 && MaxSteps > 0);
   assert(MaxSources <= 65535 && BeamsPerSource <= 65535 &&
          "source/slot ids are uint16");
@@ -478,28 +471,6 @@ InferRuntime::allocDecodeState(int MaxSources, int BeamsPerSource,
   St.AttnOut.resize(Rows);
   St.Proj.resize(Rows);
   St.FF1.resize(static_cast<size_t>(MaxBeams) * M.Cfg.FF);
-  return St;
-}
-
-Transformer::BatchDecodeState InferRuntime::startDecodeBatch(
-    std::shared_ptr<const Transformer::EncoderCache> Enc, int MaxBeams,
-    int MaxSteps) const {
-  // One segment as wide as the batch, holding the source's BOS row. The
-  // constants are the source's own, so no decodeConstants() lookup.
-  Transformer::BatchDecodeState St = allocDecodeState(1, MaxBeams, MaxSteps);
-  St.B = 1;
-  St.MaxTSrc = Enc->TSrc;
-  St.Consts = Enc->Consts;
-  St.RowEnc[0] = std::move(Enc);
-  return St;
-}
-
-Transformer::BatchDecodeState
-InferRuntime::startDecodeStream(int MaxSources, int BeamsPerSource,
-                                int MaxSteps) const {
-  // No live rows: sources are bound later via admitStreamRow.
-  Transformer::BatchDecodeState St =
-      allocDecodeState(MaxSources, BeamsPerSource, MaxSteps);
   St.Consts = M.decodeConstants();
   return St;
 }

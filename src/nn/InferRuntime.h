@@ -93,7 +93,7 @@ public:
   /// -- decoder (the batched KV-cached hot path) ----------------------------
 
   /// Builds the weight-version-tagged decode constants (fused self Q|K|V,
-  /// transposed output embedding). Transformer::decodeConstants owns the
+  /// packed decoder weights). Transformer::decodeConstants owns the
   /// per-model cache slot and calls this on a version miss.
   std::shared_ptr<const Transformer::DecodeConstants>
   buildDecodeConstants() const;
@@ -105,9 +105,6 @@ public:
   /// DecodeConstants by bumpWeightVersion().
   std::shared_ptr<const Transformer::PackedWeights> buildPackedWeights() const;
 
-  Transformer::BatchDecodeState
-  startDecodeBatch(std::shared_ptr<const Transformer::EncoderCache> Enc,
-                   int MaxBeams, int MaxSteps) const;
   Transformer::BatchDecodeState
   startDecodeStream(int MaxSources, int BeamsPerSource, int MaxSteps) const;
   int admitStreamRow(Transformer::BatchDecodeState &St, int Seg,
@@ -123,12 +120,6 @@ private:
   const Transformer &M;
   ParallelFor *TP = nullptr; ///< Encoder-side pool (null = sequential).
 
-  /// A state with \p MaxSources self-K/V segments of \p BeamsPerSource
-  /// rows over \p MaxSteps positions, its buffers sized, and no live rows
-  /// or constants yet.
-  Transformer::BatchDecodeState allocDecodeState(int MaxSources,
-                                                 int BeamsPerSource,
-                                                 int MaxSteps) const;
   /// The batched-decoder forward: embeds, runs every decoder layer and
   /// the output projection over St.FwdRows (at most BMax rows), returns
   /// logits [FwdRows.size(), Vocab]. stepDecodeBatch lowers a step onto

@@ -492,13 +492,6 @@ std::vector<float> Transformer::stepDecode(DecodeState &St,
 //===----------------------------------------------------------------------===//
 
 Transformer::BatchDecodeState
-Transformer::startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
-                              int MaxBeams, int MaxSteps) const {
-  return InferRuntime(*this).startDecodeBatch(std::move(Enc), MaxBeams,
-                                              MaxSteps);
-}
-
-Transformer::BatchDecodeState
 Transformer::startDecodeStream(int MaxSources, int BeamsPerSource,
                                int MaxSteps) const {
   return InferRuntime(*this).startDecodeStream(MaxSources, BeamsPerSource,

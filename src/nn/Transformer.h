@@ -6,12 +6,12 @@
 /// learned positions, Adam + decoupled weight decay, and NO dropout by
 /// default (§V-C: weight-decay-only regularization outperformed dropout).
 /// Training uses teacher forcing; inference has a KV-cached fast path used
-/// by greedy and beam-search decoding (§VI-A).
+/// by beam-search decoding (§VI-A).
 ///
 /// Execution is split by purpose: the Graph-based encode/decode/pairLoss
 /// are the training path (autograd tape) and the bit-exactness oracle;
-/// every serving entry point below (encodeSource, startDecodeBatch,
-/// startDecodeStream, stepDecodeBatch, decodeConstants) delegates to the
+/// every serving entry point below (encodeSource, startDecodeStream,
+/// admitStreamRow, stepDecodeBatch, decodeConstants) delegates to the
 /// graph-free InferRuntime (nn/InferRuntime.h), which runs on raw
 /// preallocated buffers with the tiled kernels.
 ///
@@ -83,13 +83,9 @@ public:
   struct DecodeConstants {
     /// Weight version the constants were derived from.
     uint64_t Version = 0;
-    /// Per decoder layer: column-concatenated self-attention Wq|Wk|Wv
-    /// ([D, 3D]) and Bq|Bk|Bv ([3D]) so one GEMM projects Q, K and V.
-    std::vector<std::vector<float>> SelfQKVW;
+    /// Per decoder layer: the self-attention biases Bq|Bk|Bv ([3D]) that
+    /// seed the fused Q|K|V projection.
     std::vector<std::vector<float>> SelfQKVB;
-    /// TokEmb transposed to [D, Vocab]: turns the logits product into a
-    /// streaming GEMM instead of a strided one.
-    std::vector<float> EmbT;
 
     /// -- pre-packed decoder weights ----------------------------------------
     /// Every persistent B operand of the batched float decode,
@@ -98,13 +94,16 @@ public:
     /// entirely. Living INSIDE the decode constants pins packs and
     /// constants to one weight version — a decode session can never mix
     /// fresh packs with stale constants or vice versa.
-    std::vector<PackedMat> SelfQKVWP; ///< Per layer [D, 3D].
+    /// Per layer: column-concatenated Wq|Wk|Wv [D, 3D], so one GEMM
+    /// projects Q, K and V.
+    std::vector<PackedMat> SelfQKVWP;
     std::vector<PackedMat> SelfWoP;   ///< Per layer [D, D].
     std::vector<PackedMat> CrossWqP;  ///< Per layer [D, D].
     std::vector<PackedMat> CrossWoP;  ///< Per layer [D, D].
     std::vector<PackedMat> FF1P;      ///< Per layer [D, FF].
     std::vector<PackedMat> FF2P;      ///< Per layer [FF, D].
-    PackedMat EmbTP;                  ///< [D, Vocab] (logits GEMM).
+    /// TokEmb as the [D, Vocab] operand of the logits GEMM.
+    PackedMat EmbTP;
 
     /// Heap bytes held by the pre-packed operands (slade_pack_bytes).
     size_t packedBytes() const {
@@ -264,7 +263,7 @@ public:
   /// per-beam ancestry table of segment-local slots, so survivor
   /// selection never moves cached K/V data — it only gathers the (tiny)
   /// index rows. Rows of one source must stay CONTIGUOUS in row order
-  /// (the serve engine guarantees this).
+  /// (nn/BeamCore.h's BeamBatch guarantees this).
   ///
   /// Decode positions are PER SEGMENT (SegLen), not batch-global: every
   /// source carries its own clock, so sources can join and leave the
@@ -308,15 +307,13 @@ public:
     ParallelFor *TP = nullptr;
   };
 
-  /// Prepares a batched state sharing \p Enc with room for \p MaxBeams
-  /// beams over \p MaxSteps positions. The state starts with one active
-  /// beam (the BOS hypothesis); reorderBeams grows it up to MaxBeams.
-  BatchDecodeState startDecodeBatch(std::shared_ptr<const EncoderCache> Enc,
-                                    int MaxBeams, int MaxSteps) const;
-  /// Streaming variant (the serve engine's continuous batch): allocates a
-  /// state with \p MaxSources self-K/V segments of \p BeamsPerSource rows
-  /// each but NO live rows — sources are bound later, one at a time, via
-  /// admitStreamRow, and may join/leave at any step.
+  /// Allocates a state with \p MaxSources self-K/V segments of
+  /// \p BeamsPerSource rows over \p MaxSteps positions each, but NO live
+  /// rows — sources are bound later, one at a time, via admitStreamRow,
+  /// and may join/leave at any step (nn/BeamCore.h's BeamBatch drives
+  /// it). A one-source search is startDecodeStream(1, K, Steps) plus
+  /// admitStreamRow(St, 0, Enc); reorderBeams then grows the source's BOS
+  /// row up to K beams.
   BatchDecodeState startDecodeStream(int MaxSources, int BeamsPerSource,
                                      int MaxSteps) const;
   /// Admits a new source into segment \p Seg of a streaming state: binds

@@ -1,9 +1,8 @@
-//===- AdmissionQueue.cpp - EDF request queue + row slot allocator ------------===//
+//===- AdmissionQueue.cpp - EDF request queue + shard router ------------------===//
 
 #include "serve/AdmissionQueue.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace slade;
 using namespace slade::serve;
@@ -187,34 +186,4 @@ void ShardRouter::retire(const std::string &Key, int Shard) {
 int ShardRouter::assigned(int Shard) const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Assigned[static_cast<size_t>(Shard)];
-}
-
-SlotAllocator::SlotAllocator(int N) {
-  Free.reserve(static_cast<size_t>(N));
-  // Reverse order so acquire() hands out 0, 1, 2, ... first.
-  for (int I = N - 1; I >= 0; --I)
-    Free.push_back(I);
-#ifndef NDEBUG
-  Live.assign(static_cast<size_t>(N), false);
-#endif
-}
-
-int SlotAllocator::acquire() {
-  if (Free.empty())
-    return -1;
-  int Slot = Free.back();
-  Free.pop_back();
-#ifndef NDEBUG
-  Live[static_cast<size_t>(Slot)] = true;
-#endif
-  return Slot;
-}
-
-void SlotAllocator::release(int Slot) {
-#ifndef NDEBUG
-  assert(Slot >= 0 && static_cast<size_t>(Slot) < Live.size() &&
-         Live[static_cast<size_t>(Slot)] && "double release");
-  Live[static_cast<size_t>(Slot)] = false;
-#endif
-  Free.push_back(Slot);
 }

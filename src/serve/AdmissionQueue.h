@@ -20,11 +20,8 @@
 ///                    retires, so no shard idles while the global queue
 ///                    holds work).
 ///
-///   SlotAllocator    a freelist of decode batch segments (self-K/V row
-///                    blocks in nn::Transformer::BatchDecodeState). A
-///                    retiring source releases its segment; the next
-///                    admitted source recycles it mid-flight. One per
-///                    shard, single-consumer (that shard's thread).
+/// Each shard's free decode segments live in its nn::beamcore::BeamBatch
+/// (nn/BeamCore.h).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_SERVE_ADMISSIONQUEUE_H
@@ -222,7 +219,7 @@ public:
   /// Out-of-band reservation on a SPECIFIC shard (a shard readmitting an
   /// attach whose target already retired). Never blocks; the shard's
   /// pending queue may transiently exceed its slot count — decode rows
-  /// themselves stay bounded by the shard's SlotAllocator.
+  /// themselves stay bounded by the shard's BeamBatch segments.
   void placeOn(int Shard);
   /// Registers a live source key as owned by \p Shard.
   void registerKey(const std::string &Key, int Shard);
@@ -244,23 +241,6 @@ private:
   /// Drain deadline; placements past it fail with -1. max() = none.
   std::chrono::steady_clock::time_point ShutdownAt =
       std::chrono::steady_clock::time_point::max();
-};
-
-/// Freelist of decode batch segment ids [0, N): the engine's row
-/// recycler. Single-consumer (the owning shard's thread) — no locking.
-class SlotAllocator {
-public:
-  explicit SlotAllocator(int N);
-  /// Pops a free segment id, or -1 when every segment is live.
-  int acquire();
-  void release(int Slot);
-  int freeCount() const { return static_cast<int>(Free.size()); }
-
-private:
-  std::vector<int> Free; ///< LIFO: retire-then-admit reuses the same row.
-#ifndef NDEBUG
-  std::vector<bool> Live;
-#endif
 };
 
 } // namespace serve

@@ -118,11 +118,11 @@ struct Engine::Completion {
   }
 };
 
-/// One live source in a shard's continuous batch: its segment, its
-/// beam-search bookkeeping (shared nn/BeamCore.h state), and the
-/// completions it serves — its own, plus any identical requests that
-/// arrived while it was decoding (single-flight dedup, possibly routed
-/// from the dispatcher across shards).
+/// One live source in a shard's continuous batch: its segment in the
+/// shard's BeamBatch (which holds its beams) and the completions it
+/// serves — its own, plus any identical requests that arrived while it
+/// was decoding (single-flight dedup, possibly routed from the dispatcher
+/// across shards).
 struct Engine::Job {
   Completion Main;
   std::vector<Completion> Attached;
@@ -139,15 +139,7 @@ struct Engine::Job {
   /// Weight version the source was encoded under (LRU key component).
   uint64_t ConstsVersion = 0;
 
-  int Seg = -1; ///< Self-K/V segment owned while live.
-  std::vector<nn::beamcore::BeamMeta> Live;
-  std::vector<nn::Hypothesis> Done;
-  /// Per-beam oracle cursors (grammar constraint; inert when off).
-  nn::beamcore::ConstraintCtx CC;
-  /// Tokens to feed this source's rows on the next tick ({Bos} when
-  /// freshly admitted). Invariant: NextTokens.size() == Live.size().
-  std::vector<int> NextTokens;
-  int Steps = 0; ///< Selection steps taken (caps at MaxLen).
+  int Seg = -1; ///< BeamBatch segment owned while live.
   /// Decode-span start (row admission), recorder-epoch ns; meaningful
   /// only when Main.Traced.
   uint64_t AdmitNs = 0;
@@ -169,8 +161,8 @@ struct Engine::ShardMsg {
   std::vector<Completion> Attached;
 };
 
-/// One decode shard: a long-lived thread owning a BatchDecodeState,
-/// a segment allocator, and scratch — nothing on its hot tick is shared
+/// One decode shard: a long-lived thread owning a BeamBatch (its decode
+/// state, free segments and scratch) — nothing on its hot tick is shared
 /// with other shards. Cross-thread surface: the inbox (dispatcher ->
 /// shard) and the shard's single-writer instrument cells (the per-tick
 /// utilization/constraint/spec accumulators moved into the metrics
@@ -191,10 +183,10 @@ Engine::Engine(const core::Decompiler &D, const EngineOptions &Opts)
       OwnedReg(Opts.Metrics ? nullptr : new obs::Registry),
       Reg(Opts.Metrics ? *Opts.Metrics : *OwnedReg),
       DrainAtRaw(Clock::time_point::max().time_since_epoch().count()) {
-  assert(this->Opts.MaxLiveSources > 0 && "need at least one decode row");
   const int N = resolveShardCount(Opts.Shards);
   this->Opts.Shards = N; // options() reports the resolved count.
   this->Opts.TickThreads = std::max(1, Opts.TickThreads);
+  this->Opts.MaxLiveSources = std::max(1, Opts.MaxLiveSources);
   registerInstruments();
   ShardsVec.reserve(static_cast<size_t>(N));
   for (int I = 0; I < N; ++I) {
@@ -789,7 +781,7 @@ void Engine::dispatchLoop() {
       completeEmpty(std::move(C), Dead);
       continue;
     }
-    if (BC.MaxLen < 1) { // Degenerate config: nothing to decode.
+    if (BC.BeamSize < 1 || BC.MaxLen < 1) { // No beam or no step.
       C.QueueWait = secondsSince(C.SubmitTime);
       completeOne(std::move(C),
                   std::make_shared<std::vector<nn::Hypothesis>>());
@@ -900,8 +892,8 @@ void Engine::dispatchLoop() {
 }
 
 /// One shard's decode loop: admit from the inbox into recycled
-/// segments, run one fused stepDecodeBatch per tick over the live rows,
-/// retire finished sources mid-flight. Every tick starts with a
+/// segments, run one BeamBatch step per tick over the live rows, retire
+/// finished sources mid-flight. Every tick starts with a
 /// cancellation sweep: rows whose every client cancelled or expired are
 /// ABORTED (their K/V segment recycled for queued work) before the next
 /// admission pass, so dead work never outcompetes live work for
@@ -911,7 +903,6 @@ void Engine::shardLoop(Shard &S) {
   obs::TraceRecorder &TR = obs::trace();
   TR.nameThread("shard-" + std::to_string(S.Index));
   const nn::Transformer &Model = D.model();
-  const int Vocab = Model.config().Vocab;
   nn::ConstraintStats OracleStats; // Shard-local; deltas bump S.* atomics.
   nn::BeamConfig BC;
   BC.BeamSize = Opts.BeamSize;
@@ -920,57 +911,48 @@ void Engine::shardLoop(Shard &S) {
     BC.Constraint = &D.vocabConstraint();
     BC.Stats = &OracleStats;
   }
-  const int BeamsPerSource = std::max(1, Opts.BeamSize);
 
-  nn::Transformer::BatchDecodeState St = Model.startDecodeStream(
-      Opts.MaxLiveSources, BeamsPerSource, std::max(1, Opts.MaxLen) + 1);
+  nn::beamcore::BeamBatch Batch(Model, BC, Opts.MaxLiveSources);
   // The shard's intra-tick worker pool: ticks and this shard's
   // readmission encodes both fan out over it (never concurrently — the
   // shard loop is single-threaded). TickThreads == 1 constructs no pool
   // and every consumer runs the sequential code path.
   nn::ParallelFor TickPool(Opts.TickThreads);
-  St.TP = &TickPool;
-  SlotAllocator Slots(Opts.MaxLiveSources);
-  std::vector<std::unique_ptr<Job>> Jobs; // Row order == job order.
+  Batch.state().TP = &TickPool;
+  std::vector<std::unique_ptr<Job>> Jobs; // Admission order.
   /// Routed messages not yet admitted: attaches waiting to merge and
   /// admissions waiting for a free segment (or for a weight-version
   /// drain). Admission order is preserved; attaches never block.
   std::vector<ShardMsg> Pending;
   std::vector<ShardMsg> Local;
-  nn::beamcore::SelectScratch Scratch;
-  std::vector<float> Logits;
-  std::vector<int> Tokens, SrcIdx;
+  std::vector<nn::beamcore::BeamBatch::Finished> Finished;
   uint64_t Tick = 0; ///< This shard's tick number (fault-injection id).
 
   // Releases a LIVE job's row state without finishing it: aborts its
   // rows in the decode state, frees its segment for recycling, and
   // drops its router slot/key.
   auto AbortJobRow = [&](Job &J) {
-    Model.abortStreamSegment(St, J.Seg);
-    Slots.release(J.Seg);
+    Batch.abort(J.Seg);
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     std::lock_guard<std::mutex> Lock(MetricsMu);
     --LiveSources;
     Ins.LiveSourcesGauge->set(static_cast<double>(LiveSources));
   };
 
-  // Retires a FINISHED job: frees its segment, finalizes its beams,
-  // feeds the decode LRU, and completes every client it serves. LRU
-  // insert FIRST, registry drop second: a dispatcher that still sees
-  // the key routes an attach here (served from a live job or this cache
-  // entry); one that no longer sees it finds the cache entry up front.
-  // Only the job that REGISTERED the key may drop it: a readmitted
-  // (unregistered) job retiring must not erase an entry a newer job for
-  // the same source owns.
-  auto RetireJob = [&](Job &&J) {
+  // Retires a job whose source BeamBatch finished (\p F): feeds the
+  // decode LRU and completes every client it serves. LRU insert FIRST,
+  // registry drop second: a dispatcher that still sees the key routes an
+  // attach here (served from a live job or this cache entry); one that
+  // no longer sees it finds the cache entry up front. Only the job that
+  // REGISTERED the key may drop it: a readmitted (unregistered) job
+  // retiring must not erase an entry a newer job for the same source
+  // owns.
+  auto RetireJob = [&](Job &&J, nn::beamcore::BeamBatch::Finished &&F) {
     if (J.Main.Traced)
       TR.record(obs::SpanKind::Decode, J.Main.Seq, J.AdmitNs, TR.nowNs(),
-                static_cast<uint64_t>(J.Steps));
-    Slots.release(J.Seg);
+                static_cast<uint64_t>(F.Steps));
     std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps =
-        std::make_shared<std::vector<nn::Hypothesis>>(
-            nn::beamcore::finalizeBeams(std::move(J.Live),
-                                        std::move(J.Done), BC, &J.CC));
+        std::make_shared<std::vector<nn::Hypothesis>>(std::move(F.Hyps));
     if (Opts.UseDecodeCache && !J.Src.empty())
       D.decodeCache().put(J.Src, J.ConstsVersion, BC, Hyps);
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
@@ -1026,16 +1008,14 @@ void Engine::shardLoop(Shard &S) {
     Jobs.resize(Keep);
   };
 
-  // Binds an admission into a freed segment; false = weight-version
-  // mismatch with the live rows (the caller keeps it pending until this
-  // shard's batch drains — an idle state adopts the new version).
+  // Binds an admission into a freed segment; false = no free segment,
+  // or a weight-version mismatch with the live rows (the caller keeps it
+  // pending until this shard's batch drains — an idle batch adopts the
+  // new version).
   auto TryAdmit = [&](ShardMsg &M) {
-    int Seg = Slots.acquire();
-    assert(Seg >= 0 && "caller checked freeCount");
-    if (Model.admitStreamRow(St, Seg, M.Enc) < 0) {
-      Slots.release(Seg);
+    int Seg = Batch.admit(M.Enc);
+    if (Seg < 0)
       return false;
-    }
     // Queue wait ends HERE — at admission into a decode row — for the
     // admission itself AND for every duplicate that merged while it
     // was pending (none of them were served by a row until now).
@@ -1055,9 +1035,6 @@ void Engine::shardLoop(Shard &S) {
     J->ConstsVersion =
         M.Enc->Consts ? M.Enc->Consts->Version : Model.weightVersion();
     J->Seg = Seg;
-    J->Live.resize(1); // The BOS hypothesis.
-    J->CC.init(BC);    // Fresh oracle cursor for the BOS beam.
-    J->NextTokens = {nn::Transformer::BosId};
     Ins.Sources->add(S.Index, 1);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
@@ -1164,7 +1141,7 @@ void Engine::shardLoop(Shard &S) {
         M.Enc = D.encodeCached(M.Src, &TickPool);
         Router.placeOn(S.Index);
       }
-      if (!AdmitBlocked && Slots.freeCount() > 0 && TryAdmit(M))
+      if (!AdmitBlocked && TryAdmit(M))
         continue;
       // Out of segments or version-deferred: later admissions wait
       // behind this one (arrival order), attaches still process.
@@ -1223,19 +1200,24 @@ void Engine::shardLoop(Shard &S) {
     if (Jobs.empty())
       continue; // Everything attached/completed; re-block on the inbox.
 
-    // -- one fused decode tick over every live row -------------------------
-    Tokens.clear();
-    for (const std::unique_ptr<Job> &J : Jobs)
-      Tokens.insert(Tokens.end(), J->NextTokens.begin(),
-                    J->NextTokens.end());
+    // -- one tick: a fused forward over every live row, each source's -----
+    // -- selection; finished sources retire mid-flight ---------------------
+    if (Jobs.size() > 1)
+      for (const std::unique_ptr<Job> &J : Jobs) {
+        J->Main.Shared = true;
+        for (Completion &C : J->Attached)
+          C.Shared = true;
+      }
+    const size_t Rows = static_cast<size_t>(Batch.rows());
     const bool TraceTick = TR.enabled();
     const uint64_t TickStart = TraceTick ? TR.nowNs() : 0;
     const uint64_t RegionsBefore = TickPool.regions();
     auto T0 = Clock::now();
-    Logits = Model.stepDecodeBatch(St, Tokens);
+    Finished.clear();
+    Batch.step(Finished);
     Ins.DecodeSeconds->add(S.Index, secondsSince(T0));
     Ins.Steps->add(S.Index, 1);
-    Ins.StepRows->add(S.Index, Tokens.size());
+    Ins.StepRows->add(S.Index, Rows);
     if (uint64_t Regions = TickPool.regions() - RegionsBefore) {
       Ins.ParallelRegions->add(S.Index, Regions);
       if (TraceTick)
@@ -1248,41 +1230,14 @@ void Engine::shardLoop(Shard &S) {
       std::this_thread::sleep_for(
           secondsToDuration(Injector.config().SlowTickSeconds));
 
-    // -- per-source selection; finished sources retire mid-flight ----------
-    const bool Multi = Jobs.size() > 1;
-    SrcIdx.clear();
-    int RowBase = 0;
-    size_t Keep = 0;
-    for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-      Job &J = *Jobs[JI];
-      const int Rows = static_cast<int>(J.Live.size());
-      if (Multi) {
-        J.Main.Shared = true;
-        for (Completion &C : J.Attached)
-          C.Shared = true;
-      }
-      nn::beamcore::SelectResult R = nn::beamcore::selectBeamStep(
-          J.Live, J.Done,
-          [&](size_t BI) {
-            return Logits.data() +
-                   (static_cast<size_t>(RowBase) + BI) * Vocab;
-          },
-          Vocab, BC, Scratch, &J.CC);
-      ++J.Steps;
-      // Retire on the EOS quota, beam exhaustion, or the step budget —
-      // the same three exits as beamSearchImpl's loop, in the same
-      // order, so the surviving Live/Done sets match a solo search.
-      if (R.StopNow || J.Live.empty() || J.Steps >= BC.MaxLen) {
-        RetireJob(std::move(J));
-      } else {
-        for (int Idx : R.SrcIdx)
-          SrcIdx.push_back(RowBase + Idx);
-        J.NextTokens = std::move(R.Tokens);
-        Jobs[Keep++] = std::move(Jobs[JI]);
-      }
-      RowBase += Rows;
+    for (nn::beamcore::BeamBatch::Finished &F : Finished) {
+      auto It = std::find_if(
+          Jobs.begin(), Jobs.end(),
+          [&](const std::unique_ptr<Job> &J) { return J->Seg == F.Seg; });
+      std::unique_ptr<Job> J = std::move(*It);
+      Jobs.erase(It);
+      RetireJob(std::move(*J), std::move(F));
     }
-    Jobs.resize(Keep);
     if (BC.Constraint) {
       // Publish this tick's oracle counters (single-writer bumps; the
       // shard-local struct resets so deltas stay per-tick).
@@ -1301,8 +1256,6 @@ void Engine::shardLoop(Shard &S) {
     }
     if (TraceTick)
       TR.record(obs::SpanKind::Tick, static_cast<uint64_t>(S.Index),
-                TickStart, TR.nowNs(), Tokens.size());
-    // Survivor gather; B may drop to zero when every source retired.
-    Model.reorderBeams(St, SrcIdx);
+                TickStart, TR.nowNs(), Rows);
   }
 }

@@ -3,10 +3,11 @@
 /// \file
 /// The long-lived serving subsystem: producers submit DecompileRequests
 /// at ANY time; N decode shards — each a long-lived thread owning its
-/// own BatchDecodeState, recycled self-K/V segments, and scratch — run
-/// one fused stepDecodeBatch per tick over their live rows with NO
-/// cross-shard synchronization on the hot tick. A dispatcher thread
-/// drains the shared bounded AdmissionQueue and routes each request:
+/// own nn::beamcore::BeamBatch (decode state, recycled self-K/V
+/// segments, scratch) — run one BeamBatch step per tick over their live
+/// rows with NO cross-shard synchronization on the hot tick. A
+/// dispatcher thread drains the shared bounded AdmissionQueue and routes
+/// each request:
 ///
 ///   submit() ──▶ AdmissionQueue (bounded, earliest-deadline-first;
 ///                full queue = backpressure, or typed QueueFull
@@ -20,7 +21,7 @@
 ///           a retirement on any shard backfills from the queue)
 ///                     │
 ///                     ▼
-///   shard loops:  [rows][rows] ... one stepDecodeBatch per tick each;
+///   shard loops:  [rows][rows] ... one BeamBatch step per tick each;
 ///                 finished sources retire mid-flight, results feed the
 ///                 decode LRU, freed segments recycle for the next
 ///                 admission. A row whose every client cancelled or
@@ -38,13 +39,13 @@
 ///
 /// Determinism contract: per-request OK outputs are byte-identical to a
 /// solo nn::beamSearch on that request's source AT EVERY SHARD COUNT —
-/// per-row step results are independent of which other rows share a
-/// shard's batch AND of their decode positions (each source carries its
-/// own clock; see BatchDecodeState::SegLen), the per-source selection
-/// logic is the shared nn/BeamCore.h code, and a decode-LRU hit returns
-/// a result that deterministic decode already produced. Arrival order,
-/// placement, row recycling, and row ABORTS cannot change any other
-/// request's result, only its latency.
+/// both run the same driver (nn/BeamCore.h's BeamBatch; a solo search
+/// is a one-source batch), per-row step results are independent of
+/// which other rows share a shard's batch AND of their decode positions
+/// (each source carries its own clock; see BatchDecodeState::SegLen),
+/// and a decode-LRU hit returns a result that deterministic decode
+/// already produced. Arrival order, placement, row recycling, and row
+/// ABORTS cannot change any other request's result, only its latency.
 ///
 /// Failure domains (docs/ARCHITECTURE.md "failure domains & request
 /// lifecycle"): a fault is contained to the REQUEST it strikes — an
@@ -72,7 +73,9 @@ namespace slade {
 namespace serve {
 
 struct EngineOptions {
-  int BeamSize = 5; ///< Paper: k = 5.
+  /// Paper: k = 5. A BeamSize or MaxLen below 1 decodes nothing: every
+  /// request resolves Ok with no hypotheses (nn::beamSearch likewise).
+  int BeamSize = 5;
   int MaxLen = 220;
   bool UseTypeInference = true;
   /// Worker threads for the candidate IO-verification pool (0 =
@@ -82,7 +85,8 @@ struct EngineOptions {
   /// Decode-batch segments PER SHARD: the max sources decoding
   /// concurrently in one shard's fused batch (live rows per shard <=
   /// MaxLiveSources * BeamSize). 1 = no cross-request fusion within a
-  /// shard (sources still stream through it, one at a time).
+  /// shard (sources still stream through it, one at a time); values
+  /// below 1 count as 1.
   int MaxLiveSources = 4;
   /// Decode shards: independent decode loops, each with its own
   /// long-lived thread, BatchDecodeState, recycled self-K/V segments,
@@ -169,7 +173,9 @@ struct ShardUtil {
   size_t Sources = 0;    ///< Sources admitted into this shard's rows.
   uint64_t Steps = 0;    ///< Fused decode ticks this shard ran.
   uint64_t StepRows = 0; ///< Beam rows stepped, summed over its ticks.
-  double DecodeSeconds = 0; ///< Time inside this shard's ticks.
+  /// Time inside this shard's ticks: each BeamBatch step, the forward
+  /// plus beam selection (the interval of the `tick` trace span).
+  double DecodeSeconds = 0;
 };
 
 /// Aggregate engine counters — a SNAPSHOT VIEW over the engine's
@@ -207,7 +213,7 @@ struct EngineMetrics {
   size_t DecodeCacheBytes = 0;
   size_t PeakLiveSources = 0; ///< Peak concurrently-live, all shards.
   double EncodeSeconds = 0; ///< Encoder passes at dispatch (LRU misses).
-  double DecodeSeconds = 0; ///< Time inside stepDecodeBatch ticks.
+  double DecodeSeconds = 0; ///< ShardUtil::DecodeSeconds, all shards.
   double VerifySeconds = 0; ///< Summed pool verify time (overlapped).
   // -- grammar-constraint counters (zero when Constrain is Off) ----------
   uint64_t BeamsKilled = 0;  ///< Beams whose every candidate was masked.

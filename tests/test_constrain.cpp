@@ -501,7 +501,7 @@ TEST(Constrain, AllowedLogSoftmaxMatchesMaterializedMask) {
 
 TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
   // A constrained decode reuses each oracle state's mask for the rest of
-  // the decode. Drive beamSearch's own loop over a fixed decode set and,
+  // the decode. Drive a beam search by hand over a fixed decode set and,
   // at every beam step, check the mask the step used against a direct
   // allowedTokens call; the constraint counters must count exactly what
   // the direct calls count, and the hypotheses must be beamSearch's.
@@ -523,7 +523,8 @@ TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
         F.Slade->encodeCached(F.Slade->tokenizer().encode(T.Prog.TargetAsm));
 
     nn::Transformer::BatchDecodeState St =
-        Model.startDecodeBatch(Enc, BC.BeamSize, BC.MaxLen + 1);
+        Model.startDecodeStream(1, BC.BeamSize, BC.MaxLen + 1);
+    Model.admitStreamRow(St, 0, Enc);
     std::vector<float> Logits =
         Model.stepDecodeBatch(St, {nn::Transformer::BosId});
     std::vector<nn::beamcore::BeamMeta> Live(1);

@@ -223,16 +223,6 @@ TEST(AdmissionQueue, CloseWakesEveryBlockedProducer) {
   EXPECT_FALSE(Q.pop(&Out));
 }
 
-TEST(SlotAllocator, RecyclesLifoAndGuardsDoubleRelease) {
-  serve::SlotAllocator S(2);
-  EXPECT_EQ(S.freeCount(), 2);
-  EXPECT_EQ(S.acquire(), 0);
-  EXPECT_EQ(S.acquire(), 1);
-  EXPECT_EQ(S.acquire(), -1) << "exhausted";
-  S.release(0);
-  EXPECT_EQ(S.acquire(), 0) << "retire-then-admit reuses the same slot";
-}
-
 TEST(Engine, StreamedArrivalsMatchSoloByteForByte) {
   // Requests submitted one at a time in a randomized order, with waits
   // in between that force retire-then-admit into recycled rows, must
@@ -389,6 +379,42 @@ TEST(Engine, CallbackRunsBeforeFutureAndStopDrains) {
     EXPECT_EQ(Futs[I].get().Name, F.Tasks[I].Name);
   Eng.stop(); // Idempotent with the destructor.
   EXPECT_EQ(Eng.metrics().Completed, F.Tasks.size());
+}
+
+TEST(Engine, DegenerateConfigsResolveOkWithoutCrashOrHang) {
+  // Options the decoder cannot run as given: no beam or no step decodes
+  // nothing (Ok, no hypotheses, translate's empty source), and a
+  // non-positive MaxLiveSources still gets one segment per shard.
+  ServeFixture F(3);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  const std::string &Asm = F.Tasks[0].Prog.TargetAsm;
+  struct Case {
+    int Beam, MaxLen, Live;
+  };
+  const Case Cases[] = {{0, 16, 2}, {-1, 16, 2}, {2, 0, 2},
+                        {2, -1, 2}, {2, 16, 0}, {2, 16, -1}};
+  for (const Case &C : Cases) {
+    std::string What = "beam " + std::to_string(C.Beam) + " maxlen " +
+                       std::to_string(C.MaxLen) + " live " +
+                       std::to_string(C.Live);
+    serve::EngineOptions EO;
+    EO.BeamSize = C.Beam;
+    EO.MaxLen = C.MaxLen;
+    EO.MaxLiveSources = C.Live;
+    serve::Engine Eng(*F.Slade, EO);
+    EXPECT_GE(Eng.options().MaxLiveSources, 1) << What;
+    serve::Handle H = Eng.submit({"job", Asm, {}, {}, nullptr});
+    if (H.future().wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << What << ": request unresolved after 30 s";
+      Eng.drain(std::chrono::steady_clock::now()); // Force-resolve, join.
+      continue;
+    }
+    serve::RequestResult R = H.get();
+    EXPECT_EQ(R.Status, serve::RequestStatus::Ok) << What;
+    EXPECT_EQ(R.CSource, F.Slade->translate(Asm, C.Beam, C.MaxLen)) << What;
+    EXPECT_EQ(R.Hyps.empty(), C.Beam < 1 || C.MaxLen < 1) << What;
+  }
 }
 
 // -- sharded engine ----------------------------------------------------------
