@@ -304,9 +304,10 @@ BENCHMARK(BM_CrossAttention)
 /// the forward, which BM_DecodeStepBatched5 leaves out. The logits of
 /// whole k=5 decodes of ARM O3 functions by the benchmark's pinned ARM O3
 /// weights (perfbench/weights) are recorded once; each iteration replays
-/// every decode's selections from scratch (a fresh mask cache per
-/// decode, as in a real decode), so the trajectories, mask reuse
-/// included, are the real ones. Reports the mean per 5-beam tick.
+/// every decode's selections from scratch, so the trajectories are the
+/// real ones. Masks come from the vocabulary's shared cache, which the
+/// recording pass fills: every iteration measures it warm, as a
+/// long-running decoder sees it. Reports the mean per 5-beam tick.
 void BM_BeamSelect(benchmark::State &State, bool Constrained) {
   static const auto Sys =
       core::loadSystem(SLADE_SOURCE_DIR "/perfbench/weights", "slade_arm_O3");
@@ -382,6 +383,33 @@ BENCHMARK_CAPTURE(BM_BeamSelect, plain, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_BeamSelect, constrained, true)
     ->Unit(benchmark::kMillisecond);
+
+/// One 512-wide log-softmax row (the pinned models' vocabulary), as beam
+/// selection runs it once per live beam: over the whole row (plain
+/// decode), or over the allowed ids of a grammar mask (constrained
+/// decode; a fixed random mask allowing about a third of the ids).
+void BM_LogSoftmaxRow(benchmark::State &State, bool AllowedIds) {
+  const int V = 512;
+  std::mt19937 Rng(5);
+  std::normal_distribution<float> Normal(0.0f, 4.0f);
+  std::vector<float> Row(V), LogP(V);
+  std::vector<uint16_t> Ids;
+  for (int I = 0; I < V; ++I) {
+    Row[static_cast<size_t>(I)] = Normal(Rng);
+    if (Rng() % 3 == 0)
+      Ids.push_back(static_cast<uint16_t>(I));
+  }
+  for (auto _ : State) {
+    if (AllowedIds)
+      benchmark::DoNotOptimize(
+          nn::beamcore::logSoftmaxAllowed(Row.data(), Ids, LogP));
+    else
+      nn::beamcore::logSoftmax(Row.data(), V, LogP);
+    benchmark::DoNotOptimize(LogP.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_LogSoftmaxRow, plain, false);
+BENCHMARK_CAPTURE(BM_LogSoftmaxRow, allowed, true);
 
 /// The observability tax on the decode hot loop: one batched decode
 /// step wrapped in EXACTLY the per-tick instrumentation the engine's

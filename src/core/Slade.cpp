@@ -196,13 +196,15 @@ HypothesisOutcome Decompiler::decompile(const EvalTask &Task,
   if (Hyps.empty())
     return HypothesisOutcome();
 
+  // Sized from the options alone (a search yields at most BeamSize
+  // hypotheses), so calls that yield different counts share one pool.
   unsigned Workers = Opts.VerifyThreads > 0
                          ? static_cast<unsigned>(Opts.VerifyThreads)
                          : ThreadPool::defaultConcurrency();
   Workers = std::min<unsigned>(Workers,
-                               static_cast<unsigned>(Hyps.size()));
+                               static_cast<unsigned>(Opts.BeamSize));
 
-  if (Workers <= 1) {
+  if (Workers <= 1 || Hyps.size() == 1) {
     // Sequential fallback keeps the early exit on the first IO pass.
     HypothesisOutcome First;
     bool HaveFirst = false;

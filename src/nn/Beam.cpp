@@ -3,6 +3,7 @@
 #include "nn/Beam.h"
 
 #include "nn/BeamCore.h"
+#include "nn/SimdExp.h"
 
 #include <algorithm>
 #include <cmath>
@@ -14,15 +15,86 @@ using namespace slade::nn;
 // are out of line here (see the note in BeamCore.h).
 using namespace slade::nn::beamcore;
 
+namespace {
+
+// Both softmaxes sum exp(x - max) into four partial sums by row
+// position: lane J sums the entries I with I % 4 == J, in ascending
+// order, and the lanes are added in one fixed order. A masked entry's exp
+// is exactly +0.0, which leaves a sum of nonnegative terms unchanged, so
+// the allowed-id path and the masked-row path get the same sum bit for
+// bit whichever entries they skip.
+
+double laneTotal(const double L[4]) { return (L[0] + L[1]) + (L[2] + L[3]); }
+
+#if SLADE_SIMD_EXP
+/// exp(X[J] - MaxV) for the four floats \p X, widened to double.
+__m256d expShifted(__m128 X, float MaxV) {
+  return exp256Pd(_mm256_cvtps_pd(_mm_sub_ps(X, _mm_set1_ps(MaxV))));
+}
+#endif
+
+/// Sum of exp(Row[I] - MaxV) over I < V.
+double expSumRow(const float *Row, int V, float MaxV) {
+  alignas(32) double L[4] = {0, 0, 0, 0};
+#if SLADE_SIMD_EXP
+  __m256d Acc = _mm256_setzero_pd();
+  int I = 0;
+  for (; I + 4 <= V; I += 4)
+    Acc = _mm256_add_pd(Acc, expShifted(_mm_loadu_ps(Row + I), MaxV));
+  if (I < V) {
+    // -inf past the row's end: those lanes add exactly +0.0.
+    float Tail[4] = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+    for (int J = I; J < V; ++J)
+      Tail[J - I] = Row[J];
+    Acc = _mm256_add_pd(Acc, expShifted(_mm_loadu_ps(Tail), MaxV));
+  }
+  _mm256_store_pd(L, Acc);
+#else
+  for (int I = 0; I < V; ++I)
+    L[I & 3] += std::exp(static_cast<double>(Row[I] - MaxV));
+#endif
+  return laneTotal(L);
+}
+
+/// Sum of exp(Row[I] - MaxV) over the ascending ids \p Ids.
+double expSumIds(const float *Row, const std::vector<uint16_t> &Ids,
+                 float MaxV) {
+  double L[4] = {0, 0, 0, 0};
+  size_t K = 0;
+#if SLADE_SIMD_EXP
+  alignas(32) double E[4];
+  for (; K + 4 <= Ids.size(); K += 4) {
+    const uint16_t *I = Ids.data() + K;
+    _mm256_store_pd(E, expShifted(_mm_setr_ps(Row[I[0]], Row[I[1]],
+                                              Row[I[2]], Row[I[3]]),
+                                  MaxV));
+    for (int J = 0; J < 4; ++J)
+      L[I[J] & 3] += E[J];
+  }
+  if (K < Ids.size()) {
+    float G[4] = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+    for (size_t J = K; J < Ids.size(); ++J)
+      G[J - K] = Row[Ids[J]];
+    _mm256_store_pd(E, expShifted(_mm_loadu_ps(G), MaxV));
+    for (size_t J = K; J < Ids.size(); ++J)
+      L[Ids[J] & 3] += E[J - K];
+  }
+#else
+  for (; K < Ids.size(); ++K)
+    L[Ids[K] & 3] += std::exp(static_cast<double>(Row[Ids[K]] - MaxV));
+#endif
+  return laneTotal(L);
+}
+
+} // namespace
+
 void slade::nn::beamcore::logSoftmax(const float *Logits, int V,
                                      std::vector<float> &Out) {
   float MaxV = -1e30f;
   for (int I = 0; I < V; ++I)
     MaxV = std::max(MaxV, Logits[I]);
-  double Sum = 0;
-  for (int I = 0; I < V; ++I)
-    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
-  float LogZ = MaxV + static_cast<float>(std::log(Sum));
+  float LogZ =
+      MaxV + static_cast<float>(std::log(expSumRow(Logits, V, MaxV)));
   Out.resize(static_cast<size_t>(V));
   for (int I = 0; I < V; ++I)
     Out[static_cast<size_t>(I)] = Logits[I] - LogZ;
@@ -34,10 +106,8 @@ bool slade::nn::beamcore::logSoftmaxAllowed(const float *Logits,
   float MaxV = -1e30f;
   for (uint16_t I : Ids)
     MaxV = std::max(MaxV, Logits[I]);
-  double Sum = 0;
-  for (uint16_t I : Ids)
-    Sum += std::exp(static_cast<double>(Logits[I] - MaxV));
-  float LogZ = MaxV + static_cast<float>(std::log(Sum));
+  float LogZ =
+      MaxV + static_cast<float>(std::log(expSumIds(Logits, Ids, MaxV)));
   float MaskedLogP = -1e30f - LogZ;
   bool Above = true;
   for (uint16_t I : Ids) {
@@ -47,12 +117,16 @@ bool slade::nn::beamcore::logSoftmaxAllowed(const float *Logits,
   return Above;
 }
 
-namespace {
-
-/// A config the search can run: at least one beam and one step.
-bool decodes(const BeamConfig &Cfg) {
-  return Cfg.BeamSize >= 1 && Cfg.MaxLen >= 1;
+bool slade::nn::searchable(const Transformer &Model, const BeamConfig &Cfg) {
+  // Selection indexes the logits row and the log-prob scratch with the
+  // constraint's ids, so a vocabulary mismatch must never reach it.
+  return Cfg.BeamSize >= 1 && Cfg.MaxLen >= 1 &&
+         (!Cfg.Constraint ||
+          Cfg.Constraint->vocabSize() ==
+              static_cast<size_t>(Model.config().Vocab));
 }
+
+namespace {
 
 /// Sequential stepper: per-beam DecodeStates, deep-copied on survivor
 /// selection (the pre-batching behavior, retained as reference/baseline).
@@ -94,7 +168,7 @@ struct SequentialStepper {
 std::vector<Hypothesis> slade::nn::beamSearch(const Transformer &Model,
                                               const std::vector<int> &Src,
                                               const BeamConfig &Cfg) {
-  if (!decodes(Cfg))
+  if (!searchable(Model, Cfg))
     return {};
   return beamSearch(Model, Model.encodeSource(Src), Cfg);
 }
@@ -103,7 +177,7 @@ std::vector<Hypothesis>
 slade::nn::beamSearch(const Transformer &Model,
                       std::shared_ptr<const Transformer::EncoderCache> Enc,
                       const BeamConfig &Cfg) {
-  if (!decodes(Cfg))
+  if (!searchable(Model, Cfg))
     return {};
   BeamBatch Batch(Model, Cfg, /*MaxSources=*/1);
   Batch.admit(std::move(Enc)); // An idle batch admits any weight version.
@@ -117,7 +191,7 @@ std::vector<Hypothesis>
 slade::nn::beamSearchSequential(const Transformer &Model,
                                 const std::vector<int> &Src,
                                 const BeamConfig &Cfg) {
-  if (!decodes(Cfg))
+  if (!searchable(Model, Cfg))
     return {};
   SequentialStepper Step(Model, Src);
   std::vector<BeamMeta> Live(1);

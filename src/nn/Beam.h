@@ -15,8 +15,9 @@
 /// deep-copied on survivor selection, and exists for equivalence tests and
 /// as the benchmark baseline.
 ///
-/// Every search needs BeamSize >= 1 and MaxLen >= 1; any other config
-/// returns no hypotheses.
+/// Every search needs BeamSize >= 1, MaxLen >= 1 and a constraint (if
+/// any) over the model's vocabulary; any other config returns no
+/// hypotheses (see searchable).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_BEAM_H
@@ -65,6 +66,12 @@ struct Hypothesis {
   std::vector<int> Tokens; ///< Without BOS/EOS.
   float Score = 0;         ///< Length-normalized log probability.
 };
+
+/// True when a search under \p Cfg can run on \p Model: at least one
+/// beam and one step, and a constraint (if any) that covers exactly the
+/// model's vocabulary. Every search, and the serve engine's dispatcher,
+/// decodes nothing otherwise. Checked in every build type.
+bool searchable(const Transformer &Model, const BeamConfig &Cfg);
 
 /// Returns up to BeamSize hypotheses, best first. Batched hot path.
 std::vector<Hypothesis> beamSearch(const Transformer &Model,

@@ -22,11 +22,8 @@
 #include "tok/VocabConstraint.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +36,8 @@ namespace beamcore {
 // loop leave the upper YMM state dirty into the next row's scalar
 // std::exp calls, which then ran about 30x slower (a 64-token k=5 search
 // went from 5.7 to 29 ms). A function returns with that state clean.
+// Their sums run on exp256Pd (nn/SimdExp.h), but each row still calls
+// scalar libm: std::log, and std::exp on builds without AVX2+FMA.
 
 /// Log-softmax into a reused output buffer.
 void logSoftmax(const float *Logits, int V, std::vector<float> &Out);
@@ -111,6 +110,7 @@ struct BeamMeta {
 
 struct SelectScratch {
   std::vector<float> LogP;
+  tok::VocabConstraint::MaskScratch Mask;
   std::vector<std::pair<float, int>> Heap;
   std::vector<int> Top;
   std::vector<Cand> Cands;
@@ -126,56 +126,26 @@ struct SelectResult {
 
 /// Per-source grammar-constraint state for one decode: each live beam
 /// carries an oracle cursor (States[i] parallels Live[i]); survivor
-/// selection forks/retires cursors exactly like K/V rows. Created from
-/// BeamConfig::Constraint by every driver via init(); selectBeamStep /
-/// finalizeBeams take it as an optional — nullptr (or a null Vocab) is
+/// selection forks/retires cursors exactly like K/V rows. Masks come from
+/// the vocabulary's shared cache (tok::VocabConstraint::mask). Created
+/// from BeamConfig::Constraint by every driver via init(); selectBeamStep
+/// / finalizeBeams take it as an optional — nullptr (or a null Vocab) is
 /// the unconstrained path, bit-for-bit identical to the pre-constraint
 /// code.
 struct ConstraintCtx {
-  /// One allowedTokens result.
-  struct Mask {
-    std::vector<uint8_t> Allowed;
-    std::vector<uint16_t> Ids; ///< The allowed ids, ascending.
-    int Masked = 0;            ///< Disallowed ids.
-  };
-  /// The masks a decode has computed, keyed by PrefixOracle::stateKey.
-  /// A decode's beams keep landing in the same few oracle states, so most
-  /// beam steps reuse a mask.
-  struct MaskCache {
-    std::unordered_map<std::string, Mask> ByState;
-    std::string Key; ///< Lookup scratch.
-  };
-
   const tok::VocabConstraint *Vocab = nullptr;
   ConstraintStats *Stats = nullptr;
   std::vector<cc::PrefixOracle::State> States; ///< Parallel to Live.
-  MaskCache Masks; ///< Lives for one decode (init() starts a new one).
   std::vector<cc::PrefixOracle::State> NextStates; ///< Step scratch.
 
   void init(const BeamConfig &Cfg) {
     Vocab = Cfg.Constraint;
     Stats = Cfg.Stats;
     States.clear();
-    Masks.ByState.clear();
     if (Vocab)
       States.push_back(Vocab->start());
   }
   bool active() const { return Vocab != nullptr; }
-
-  /// Vocab->allowedTokens(S), computed once per distinct state.
-  const Mask &mask(const cc::PrefixOracle::State &S) {
-    cc::PrefixOracle::stateKey(S, Masks.Key);
-    auto It = Masks.ByState.find(Masks.Key);
-    if (It == Masks.ByState.end()) {
-      It = Masks.ByState.emplace(Masks.Key, Mask()).first;
-      Mask &M = It->second;
-      M.Masked = Vocab->allowedTokens(S, M.Allowed);
-      for (size_t I = 0; I < M.Allowed.size(); ++I)
-        if (M.Allowed[I])
-          M.Ids.push_back(static_cast<uint16_t>(I));
-    }
-    return It->second;
-  }
 };
 
 /// One expansion step for one source's beams: log-softmax + top-k per
@@ -183,7 +153,8 @@ struct ConstraintCtx {
 /// then token — ties never diverge between decode paths), EOS/PAD
 /// candidates retire into \p Done, survivors replace \p Live. Shared by
 /// BeamBatch and the sequential reference loop, so their per-source
-/// decisions are the same code.
+/// decisions are the same code. A constraint must cover exactly \p Vocab
+/// ids (nn::searchable).
 template <typename LogitsOf>
 SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
                             std::vector<Hypothesis> &Done,
@@ -201,8 +172,8 @@ SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
       // this beam BEFORE softmax/top-k, so probability mass and the
       // candidate pool only ever cover viable tokens.
       auto T0 = std::chrono::steady_clock::now();
-      const ConstraintCtx::Mask &M = CC->mask(CC->States[BI]);
-      assert(M.Allowed.size() == static_cast<size_t>(Vocab));
+      const tok::VocabConstraint::Mask &M =
+          CC->Vocab->mask(CC->States[BI], S.Mask);
       Allowed = M.Allowed.data();
       if (CC->Stats) {
         CC->Stats->TokensMasked += static_cast<uint64_t>(M.Masked);
@@ -331,7 +302,7 @@ inline std::vector<Hypothesis> finalizeBeams(std::vector<BeamMeta> &&Live,
 /// selectBeamStep per source, and retires the sources that finished.
 /// Each source's hypotheses equal a solo search's, whatever else shares
 /// the batch or when it joined (per-row forward results never depend on
-/// the other rows). Requires Cfg.BeamSize >= 1 and Cfg.MaxLen >= 1.
+/// the other rows). Requires nn::searchable(Model, Cfg).
 class BeamBatch {
 public:
   /// A source retired by step(): its segment (free again), the

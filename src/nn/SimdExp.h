@@ -15,6 +15,9 @@
 /// definition per build, so cross-path bit-exactness holds on every
 /// target.
 ///
+/// exp256Pd is the double-precision exp of beam selection's log-softmax
+/// sums (nn/Beam.cpp); without AVX2+FMA that code calls std::exp.
+///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_NN_SIMDEXP_H
 #define SLADE_NN_SIMDEXP_H
@@ -80,6 +83,45 @@ inline float expPsScalar(float X) {
   float Pow2;
   std::memcpy(&Pow2, &Bits, sizeof(float));
   return Y * Pow2;
+}
+
+/// Double-precision exp, 4-wide, for log-softmax sums (arguments <= 0).
+/// Reduces x = n ln2 + r with |r| <= ln2/2: one FMA rounds x log2(e) to
+/// n, x - n ln2_hi is exact, and ln2's low part adds one rounding. Then
+/// sums the degree-13 Taylor polynomial of e^r by Horner with FMA
+/// (truncation under 5e-18 relative) and scales by 2^n built in the
+/// exponent bits. Within 2 ULP of exp on [-708, 0]. Arguments below
+/// -708, whose exp is under 3.4e-308, give exactly +0.0; NaN stays NaN.
+inline __m256d exp256Pd(__m256d X) {
+  const __m256d Lo = _mm256_set1_pd(-708.0);
+  // Operand order lets NaN through both clamps.
+  __m256d Xc = _mm256_min_pd(_mm256_set1_pd(709.0), _mm256_max_pd(Lo, X));
+  // Adding 1.5 * 2^52 rounds x log2(e) to the integer n and leaves n in
+  // the low mantissa bits.
+  const __m256d Shift = _mm256_set1_pd(6755399441055744.0);
+  __m256d Fx =
+      _mm256_fmadd_pd(Xc, _mm256_set1_pd(1.4426950408889634), Shift);
+  __m256d N = _mm256_sub_pd(Fx, Shift);
+  const __m256d Ln2Hi = _mm256_set1_pd(6.93147180559945286e-1);
+  const __m256d Ln2Lo = _mm256_set1_pd(2.31904681384629956e-17);
+  __m256d R = _mm256_fnmadd_pd(N, Ln2Lo, _mm256_fnmadd_pd(N, Ln2Hi, Xc));
+  const double InvFact[] = {1.0 / 6227020800.0, 1.0 / 479001600.0,
+                            1.0 / 39916800.0,   1.0 / 3628800.0,
+                            1.0 / 362880.0,     1.0 / 40320.0,
+                            1.0 / 5040.0,       1.0 / 720.0,
+                            1.0 / 120.0,        1.0 / 24.0,
+                            1.0 / 6.0,          0.5,
+                            1.0,                1.0};
+  __m256d P = _mm256_set1_pd(InvFact[0]);
+  for (int K = 1; K < 14; ++K)
+    P = _mm256_fmadd_pd(P, R, _mm256_set1_pd(InvFact[K]));
+  // 2^n: n + 1023 shifted into the exponent field (the shift drops the
+  // 1.5 * 2^52 bits; n + 1023 is in [1, 2046] after the clamps).
+  __m256i E = _mm256_slli_epi64(
+      _mm256_add_epi64(_mm256_castpd_si256(Fx), _mm256_set1_epi64x(1023)),
+      52);
+  __m256d Y = _mm256_mul_pd(P, _mm256_castsi256_pd(E));
+  return _mm256_andnot_pd(_mm256_cmp_pd(X, Lo, _CMP_LT_OQ), Y);
 }
 
 inline float hsum256(__m256 V) {

@@ -781,7 +781,7 @@ void Engine::dispatchLoop() {
       completeEmpty(std::move(C), Dead);
       continue;
     }
-    if (BC.BeamSize < 1 || BC.MaxLen < 1) { // No beam or no step.
+    if (!nn::searchable(Model, BC)) { // No beam, step or vocab match.
       C.QueueWait = secondsSince(C.SubmitTime);
       completeOne(std::move(C),
                   std::make_shared<std::vector<nn::Hypothesis>>());

@@ -224,6 +224,36 @@ int VocabConstraint::allowedTokens(const PrefixOracle::State &S,
   return Masked;
 }
 
+const VocabConstraint::Mask &
+VocabConstraint::mask(const PrefixOracle::State &S,
+                      MaskScratch &Scratch) const {
+  PrefixOracle::stateKey(S, Scratch.Key);
+  {
+    std::lock_guard<std::mutex> Lock(MaskMu);
+    auto It = Masks.find(Scratch.Key);
+    if (It != Masks.end())
+      return It->second;
+  }
+  // Computed outside the lock, so a miss never stalls another decode's
+  // hits; two decodes missing one state both compute it, and the first
+  // insert wins (the masks are equal).
+  Mask &M = Scratch.Own;
+  M.Masked = allowedTokens(S, M.Allowed);
+  M.Ids.clear();
+  for (size_t I = 0; I < M.Allowed.size(); ++I)
+    if (M.Allowed[I])
+      M.Ids.push_back(static_cast<uint16_t>(I));
+  std::lock_guard<std::mutex> Lock(MaskMu);
+  if (Masks.size() >= MaskCacheCap)
+    return M;
+  return Masks.try_emplace(Scratch.Key, std::move(M)).first->second;
+}
+
+size_t VocabConstraint::cachedMasks() const {
+  std::lock_guard<std::mutex> Lock(MaskMu);
+  return Masks.size();
+}
+
 bool VocabConstraint::genericAllowed(const PrefixOracle::State &S,
                                      size_t Id) const {
   PrefixOracle::State T = S;

@@ -31,6 +31,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace slade;
@@ -452,45 +453,59 @@ TEST(Constrain, AllowedLogSoftmaxMatchesMaterializedMask) {
   // Constrained selection takes the log-softmax and top-k over the
   // allowed ids only. Both must equal logSoftmax + topK over the row with
   // masked entries set to -1e30f, bit for bit (top-k: the allowed members
-  // of the full top-k, in order), at every mask density. A row whose
-  // allowed logits do not all rank above the masked ones must be refused.
-  const int V = 97, K = 5;
+  // of the full top-k, in order), at every mask density and at row widths
+  // covering every tail of the 4-wide exp. A row whose allowed logits do
+  // not all rank above the masked ones must be refused.
+  const int K = 5;
   SplitMix64 Rng(7);
-  std::vector<float> Logits(V), Masked(V), Want, Got(V);
-  std::vector<uint8_t> Allowed(V);
+  std::vector<float> Logits, Masked, Want, Got;
+  std::vector<uint8_t> Allowed;
   std::vector<uint16_t> Ids;
   std::vector<std::pair<float, int>> Heap;
   std::vector<int> WantTop, GotTop;
-  for (int Density : {1, 3, 50, 97}) {
-    for (int Trial = 0; Trial < 20; ++Trial) {
-      Ids.clear();
-      for (int I = 0; I < V; ++I) {
-        Logits[I] = static_cast<float>(Rng.normal()) * 4.0f;
-        Allowed[I] = Density == 1 ? I == Trial % V
-                                  : static_cast<int>(Rng.below(V)) < Density;
-        if (Allowed[I])
-          Ids.push_back(static_cast<uint16_t>(I));
-        Masked[I] = Allowed[I] ? Logits[I] : -1e30f;
+  for (int V : {1, 3, 4, 5, 8, 97, 512}) {
+    Logits.assign(V, 0.0f);
+    Masked.assign(V, 0.0f);
+    Got.assign(V, 0.0f);
+    Allowed.assign(V, 0);
+    // Density: one allowed id, then about 3%, 50% and 100% of the row.
+    for (int Density : {0, 3, 50, 100}) {
+      for (int Trial = 0; Trial < 20; ++Trial) {
+        Ids.clear();
+        for (int I = 0; I < V; ++I) {
+          Logits[I] = static_cast<float>(Rng.normal()) * 4.0f;
+          Allowed[I] = Density == 0
+                           ? I == Trial % V
+                           : static_cast<int>(Rng.below(100)) < Density;
+          if (Allowed[I])
+            Ids.push_back(static_cast<uint16_t>(I));
+          Masked[I] = Allowed[I] ? Logits[I] : -1e30f;
+        }
+        if (Ids.empty())
+          continue;
+        std::string Tag = "V " + std::to_string(V) + " density " +
+                          std::to_string(Density) + " trial " +
+                          std::to_string(Trial);
+        nn::beamcore::logSoftmax(Masked.data(), V, Want);
+        ASSERT_TRUE(
+            nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got))
+            << Tag;
+        for (uint16_t I : Ids)
+          ASSERT_EQ(0, std::memcmp(&Got[I], &Want[I], sizeof(float)))
+              << Tag << " id " << I;
+        nn::beamcore::topK(Want, K, Heap, WantTop);
+        WantTop.erase(std::remove_if(WantTop.begin(), WantTop.end(),
+                                     [&](int Tok) { return !Allowed[Tok]; }),
+                      WantTop.end());
+        nn::beamcore::topKOf(
+            Got, static_cast<int>(Ids.size()),
+            [&](int C) { return static_cast<int>(Ids[C]); }, K, Heap,
+            GotTop);
+        EXPECT_EQ(GotTop, WantTop) << Tag;
       }
-      if (Ids.empty())
-        continue;
-      nn::beamcore::logSoftmax(Masked.data(), V, Want);
-      ASSERT_TRUE(
-          nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got));
-      for (uint16_t I : Ids)
-        ASSERT_EQ(0, std::memcmp(&Got[I], &Want[I], sizeof(float)))
-            << "density " << Density << " trial " << Trial << " id " << I;
-      nn::beamcore::topK(Want, K, Heap, WantTop);
-      WantTop.erase(std::remove_if(WantTop.begin(), WantTop.end(),
-                                   [&](int Tok) { return !Allowed[Tok]; }),
-                    WantTop.end());
-      nn::beamcore::topKOf(
-          Got, static_cast<int>(Ids.size()),
-          [&](int C) { return static_cast<int>(Ids[C]); }, K, Heap, GotTop);
-      EXPECT_EQ(GotTop, WantTop)
-          << "density " << Density << " trial " << Trial;
     }
   }
+  Logits.assign(97, 0.0f);
   Ids = {3, 8};
   Logits[3] = 1.0f;
   Logits[8] = -2e30f; // Allowed, yet ranks below the masked entries.
@@ -499,32 +514,64 @@ TEST(Constrain, AllowedLogSoftmaxMatchesMaterializedMask) {
   EXPECT_FALSE(nn::beamcore::logSoftmaxAllowed(Logits.data(), Ids, Got));
 }
 
+namespace {
+
+/// The shared cache's mask equals a direct allowedTokens call: the same
+/// allowed bytes and count, and Ids lists exactly the allowed ids,
+/// ascending.
+void expectMaskMatchesDirect(const tok::VocabConstraint &VC,
+                             const cc::PrefixOracle::State &S,
+                             const tok::VocabConstraint::Mask &M,
+                             const std::string &Where) {
+  std::vector<uint8_t> Direct;
+  int N = VC.allowedTokens(S, Direct);
+  ASSERT_EQ(M.Allowed, Direct) << Where;
+  ASSERT_EQ(M.Masked, N) << Where;
+  std::vector<uint16_t> Ids;
+  for (size_t I = 0; I < Direct.size(); ++I)
+    if (Direct[I])
+      Ids.push_back(static_cast<uint16_t>(I));
+  ASSERT_EQ(M.Ids, Ids) << Where;
+}
+
+} // namespace
+
 TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
-  // A constrained decode reuses each oracle state's mask for the rest of
-  // the decode. Drive a beam search by hand over a fixed decode set and,
-  // at every beam step, check the mask the step used against a direct
+  // Every constrained decode of a vocabulary shares one mask cache. Drive
+  // a beam search by hand over a fixed decode set and, at every beam
+  // step, check the cached mask the step used against a direct
   // allowedTokens call; the constraint counters must count exactly what
-  // the direct calls count, and the hypotheses must be beamSearch's.
+  // the direct calls count, and the hypotheses must be beamSearch's. A
+  // second pass over the same decodes must find every mask cached.
   testutil::DecompilerFixture F(4);
   ASSERT_GE(F.Tasks.size(), 2u) << "demo corpus unexpectedly rejected";
   const nn::Transformer &Model = F.Slade->model();
   const tok::VocabConstraint &VC = F.Slade->vocabConstraint();
   const int V = Model.config().Vocab;
+  const size_t CachedBefore = VC.cachedMasks();
 
-  size_t BeamSteps = 0, DistinctStates = 0;
+  struct Decode {
+    std::shared_ptr<const nn::Transformer::EncoderCache> Enc;
+    std::vector<nn::Hypothesis> Hyps;
+    uint64_t Masked = 0, Killed = 0;
+  };
+  std::vector<Decode> Decodes;
+  nn::BeamConfig BC;
+  BC.BeamSize = 5;
+  BC.MaxLen = 48;
+  BC.Constraint = &VC;
+  size_t BeamSteps = 0;
+  tok::VocabConstraint::MaskScratch Lookup;
   for (const core::EvalTask &T : F.Tasks) {
     nn::ConstraintStats Stats;
-    nn::BeamConfig BC;
-    BC.BeamSize = 5;
-    BC.MaxLen = 48;
-    BC.Constraint = &VC;
     BC.Stats = &Stats;
-    auto Enc =
+    Decode D;
+    D.Enc =
         F.Slade->encodeCached(F.Slade->tokenizer().encode(T.Prog.TargetAsm));
 
     nn::Transformer::BatchDecodeState St =
         Model.startDecodeStream(1, BC.BeamSize, BC.MaxLen + 1);
-    Model.admitStreamRow(St, 0, Enc);
+    Model.admitStreamRow(St, 0, D.Enc);
     std::vector<float> Logits =
         Model.stepDecodeBatch(St, {nn::Transformer::BosId});
     std::vector<nn::beamcore::BeamMeta> Live(1);
@@ -532,21 +579,19 @@ TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
     nn::beamcore::SelectScratch Scratch;
     nn::beamcore::ConstraintCtx CC;
     CC.init(BC);
-    uint64_t DirectMasked = 0, DirectKilled = 0;
-    std::vector<uint8_t> Direct;
     for (int It = 0; It < BC.MaxLen && !Live.empty(); ++It) {
       std::vector<cc::PrefixOracle::State> Before = CC.States;
       nn::beamcore::SelectResult R = nn::beamcore::selectBeamStep(
           Live, Done,
           [&](size_t BI) { return Logits.data() + BI * V; }, V, BC,
           Scratch, &CC);
+      std::string Where = T.Name + " step " + std::to_string(It);
       for (const cc::PrefixOracle::State &S : Before) {
-        int N = VC.allowedTokens(S, Direct);
-        const nn::beamcore::ConstraintCtx::Mask &Used = CC.mask(S);
-        ASSERT_EQ(Used.Allowed, Direct) << T.Name << " step " << It;
-        ASSERT_EQ(Used.Masked, N) << T.Name << " step " << It;
-        DirectMasked += static_cast<uint64_t>(N);
-        DirectKilled += N >= V;
+        const tok::VocabConstraint::Mask &Used = VC.mask(S, Lookup);
+        ASSERT_NE(&Used, &Lookup.Own) << Where << ": mask not cached";
+        ASSERT_NO_FATAL_FAILURE(expectMaskMatchesDirect(VC, S, Used, Where));
+        D.Masked += static_cast<uint64_t>(Used.Masked);
+        D.Killed += Used.Masked >= V;
         ++BeamSteps;
       }
       if (R.StopNow)
@@ -556,25 +601,112 @@ TEST(Constrain, MaskCacheMatchesDirectMaskAtEveryBeamStep) {
         Logits = Model.stepDecodeBatch(St, R.Tokens);
       }
     }
-    DistinctStates += CC.Masks.ByState.size();
-    EXPECT_EQ(Stats.TokensMasked, DirectMasked) << T.Name;
-    EXPECT_EQ(Stats.BeamsKilled, DirectKilled) << T.Name;
-    std::vector<nn::Hypothesis> Hyps = nn::beamcore::finalizeBeams(
-        std::move(Live), std::move(Done), BC, &CC);
+    EXPECT_EQ(Stats.TokensMasked, D.Masked) << T.Name;
+    EXPECT_EQ(Stats.BeamsKilled, D.Killed) << T.Name;
+    D.Hyps = nn::beamcore::finalizeBeams(std::move(Live), std::move(Done),
+                                         BC, &CC);
+    Decodes.push_back(std::move(D));
+  }
+  const size_t Cached = VC.cachedMasks() - CachedBefore;
+  EXPECT_GT(BeamSteps, 100u);
+  EXPECT_LT(Cached, BeamSteps) << "no beam step reused a mask";
 
+  for (size_t I = 0; I < Decodes.size(); ++I) {
+    const Decode &D = Decodes[I];
     nn::ConstraintStats SearchStats;
     BC.Stats = &SearchStats;
-    std::vector<nn::Hypothesis> Search = nn::beamSearch(Model, Enc, BC);
-    ASSERT_EQ(Hyps.size(), Search.size()) << T.Name;
-    for (size_t H = 0; H < Hyps.size(); ++H) {
-      EXPECT_EQ(Hyps[H].Tokens, Search[H].Tokens) << T.Name;
-      EXPECT_EQ(Hyps[H].Score, Search[H].Score) << T.Name;
+    std::vector<nn::Hypothesis> Search = nn::beamSearch(Model, D.Enc, BC);
+    ASSERT_EQ(D.Hyps.size(), Search.size()) << F.Tasks[I].Name;
+    for (size_t H = 0; H < D.Hyps.size(); ++H) {
+      EXPECT_EQ(D.Hyps[H].Tokens, Search[H].Tokens) << F.Tasks[I].Name;
+      EXPECT_EQ(D.Hyps[H].Score, Search[H].Score) << F.Tasks[I].Name;
     }
-    EXPECT_EQ(SearchStats.TokensMasked, DirectMasked) << T.Name;
-    EXPECT_EQ(SearchStats.BeamsKilled, DirectKilled) << T.Name;
+    EXPECT_EQ(SearchStats.TokensMasked, D.Masked) << F.Tasks[I].Name;
+    EXPECT_EQ(SearchStats.BeamsKilled, D.Killed) << F.Tasks[I].Name;
   }
-  EXPECT_GT(BeamSteps, 100u);
-  EXPECT_LT(DistinctStates, BeamSteps) << "no beam step reused a mask";
+  EXPECT_EQ(VC.cachedMasks() - CachedBefore, Cached)
+      << "a second pass over the same decodes added a mask";
+}
+
+TEST(Constrain, MaskCachePastBoundMatchesAllowedTokens) {
+  // Random piece sequences through the oracle fill a fresh cache to its
+  // bound. Every mask, cached or computed past the bound into the
+  // caller's scratch, must equal allowedTokens, and the cache must stop
+  // growing at MaskCacheCap.
+  testutil::DecompilerFixture F(1);
+  tok::VocabConstraint VC(F.Slade->tokenizer());
+  tok::VocabConstraint::MaskScratch Lookup;
+  SplitMix64 Rng(4096);
+  cc::PrefixOracle::State S = VC.start();
+  size_t Walk = 0, PastBound = 0;
+  for (size_t Step = 0; Step < 400000 && PastBound < 500; ++Step) {
+    const tok::VocabConstraint::Mask &M = VC.mask(S, Lookup);
+    if (&M == &Lookup.Own) {
+      ASSERT_EQ(VC.cachedMasks(), tok::VocabConstraint::MaskCacheCap)
+          << "a mask went uncached below the bound";
+      ++PastBound;
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        expectMaskMatchesDirect(VC, S, M, "step " + std::to_string(Step)));
+    if (M.Ids.empty() || ++Walk == 80) {
+      S = VC.start(); // Dead end or long enough: start a new sequence.
+      Walk = 0;
+      continue;
+    }
+    VC.advanceToken(S, M.Ids[Rng.below(M.Ids.size())]);
+  }
+  EXPECT_EQ(VC.cachedMasks(), tok::VocabConstraint::MaskCacheCap);
+  EXPECT_EQ(PastBound, 500u) << "the walk never went past the bound";
+}
+
+TEST(Constrain, ConcurrentSearchesShareOneMaskCache) {
+  // Four threads run constrained searches over one task set against one
+  // fresh VocabConstraint, so they miss and insert the same states
+  // concurrently. Every result must equal the single-thread search's,
+  // tokens and scores.
+  testutil::DecompilerFixture F(6);
+  ASSERT_GE(F.Tasks.size(), 3u) << "demo corpus unexpectedly rejected";
+  const nn::Transformer &Model = F.Slade->model();
+  std::vector<std::shared_ptr<const nn::Transformer::EncoderCache>> Encs;
+  for (const core::EvalTask &T : F.Tasks)
+    Encs.push_back(
+        F.Slade->encodeCached(F.Slade->tokenizer().encode(T.Prog.TargetAsm)));
+  nn::BeamConfig BC;
+  BC.BeamSize = 5;
+  BC.MaxLen = 48;
+
+  tok::VocabConstraint Shared(F.Slade->tokenizer());
+  BC.Constraint = &Shared;
+  const size_t Threads = 4;
+  std::vector<std::vector<std::vector<nn::Hypothesis>>> Got(
+      Threads, std::vector<std::vector<nn::Hypothesis>>(Encs.size()));
+  std::vector<std::thread> Pool;
+  for (size_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      // Each thread starts at another task, so misses overlap.
+      for (size_t K = 0; K < Encs.size(); ++K) {
+        size_t I = (K + T) % Encs.size();
+        Got[T][I] = nn::beamSearch(Model, Encs[I], BC);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  EXPECT_GT(Shared.cachedMasks(), 0u);
+
+  BC.Constraint = &F.Slade->vocabConstraint();
+  for (size_t I = 0; I < Encs.size(); ++I) {
+    std::vector<nn::Hypothesis> Want = nn::beamSearch(Model, Encs[I], BC);
+    for (size_t T = 0; T < Threads; ++T) {
+      ASSERT_EQ(Got[T][I].size(), Want.size())
+          << F.Tasks[I].Name << " thread " << T;
+      for (size_t H = 0; H < Want.size(); ++H) {
+        EXPECT_EQ(Got[T][I][H].Tokens, Want[H].Tokens)
+            << F.Tasks[I].Name << " thread " << T;
+        EXPECT_EQ(Got[T][I][H].Score, Want[H].Score)
+            << F.Tasks[I].Name << " thread " << T;
+      }
+    }
+  }
 }
 
 TEST(Constrain, OffModeByteIdenticalAcrossDriversAndShards) {

@@ -16,8 +16,10 @@
 #include "nn/InferRuntime.h"
 #include "nn/Mat.h"
 #include "nn/Parallel.h"
+#include "nn/SimdExp.h"
 #include "nn/Transformer.h"
 #include "support/RNG.h"
+#include "tok/VocabConstraint.h"
 
 #include <gtest/gtest.h>
 
@@ -775,6 +777,68 @@ TEST(InferRuntime, CrossGroupKernelBitExactVsPerRowKernel) {
   }
 }
 
+TEST(SimdExp, DoubleExpWithinTwoUlpAndFlushesBelowRange) {
+  // Beam selection sums exp256Pd(x) for x = logit - max <= 0. Wherever a
+  // term can reach that sum (x >= -708) it must be within 2 ULP of a long
+  // double reference; below -708 the kernel flushes to exactly +0.0, and
+  // NaN stays NaN.
+#ifndef SLADE_SIMD_EXP
+  GTEST_SKIP() << "exp256Pd is the AVX2+FMA build's";
+#else
+  std::vector<double> In = {0.0, -0.0, -1e-300, -5e-324, -708.0};
+  const long double Ln2 = 0.693147180559945309417232121458176568L;
+  for (int K = 0; K <= 1021; ++K) {
+    // Around the reduction's breakpoints: n ln2 and (n + 1/2) ln2.
+    for (long double Y : {K * Ln2, (K + 0.5L) * Ln2})
+      for (double D : {-1e-9, 0.0, 1e-9}) {
+        double X = static_cast<double>(-Y) + D;
+        if (X <= 0 && X >= -708.0)
+          In.push_back(X);
+      }
+  }
+  for (int I = 0; I <= 200000; ++I)
+    In.push_back(-708.0 * I / 200000);
+  SplitMix64 Rng(11);
+  for (int I = 0; I < 200000; ++I) {
+    double U = static_cast<double>(Rng.next() >> 11) * 0x1p-53;
+    In.push_back(-708.0 * U);
+    // The kernel's real inputs: float differences, dense near 0.
+    In.push_back(static_cast<double>(static_cast<float>(-30.0 * U)));
+  }
+  auto Run = [](const std::vector<double> &X) {
+    std::vector<double> Y(X.size() + 3);
+    std::vector<double> Pad(X);
+    Pad.resize(Y.size(), 0.0);
+    for (size_t I = 0; I < X.size(); I += 4)
+      _mm256_storeu_pd(&Y[I], exp256Pd(_mm256_loadu_pd(&Pad[I])));
+    Y.resize(X.size());
+    return Y;
+  };
+  std::vector<double> Out = Run(In);
+  double Worst = 0;
+  for (size_t I = 0; I < In.size(); ++I) {
+    long double Ref = std::exp(static_cast<long double>(In[I]));
+    double Ulp = std::ldexp(1.0, std::ilogb(static_cast<double>(Ref)) - 52);
+    double Err =
+        static_cast<double>(std::fabs(static_cast<long double>(Out[I]) - Ref) /
+                            Ulp);
+    ASSERT_LE(Err, 2.0) << "exp(" << In[I] << ") = " << Out[I];
+    Worst = std::max(Worst, Err);
+  }
+  RecordProperty("worst_ulp", std::to_string(Worst));
+
+  const std::vector<double> Flush = {
+      std::nextafter(-708.0, -1e9), -708.5, -709.0, -745.2, -746.0, -1e30,
+      -1e300, -INFINITY};
+  std::vector<double> Zero = Run(Flush);
+  const double PlusZero = 0.0;
+  for (size_t I = 0; I < Flush.size(); ++I)
+    EXPECT_EQ(0, std::memcmp(&Zero[I], &PlusZero, sizeof(double)))
+        << "exp(" << Flush[I] << ") = " << Zero[I];
+  EXPECT_TRUE(std::isnan(Run({std::nan("")})[0]));
+#endif
+}
+
 TEST(InferRuntime, CrossKeysAreTransposedPaddedAndCounted) {
   // Cross-K is stored once per layer as [D][crossKStride(T)], zero past
   // T, and EncoderCache::bytes() charges the padded size (the EncoderLRU
@@ -1453,6 +1517,41 @@ TEST(Transformer, SearchWithoutBeamOrStepReturnsNothing) {
         << "k=" << K << " maxlen=" << Len;
     EXPECT_TRUE(beamSearchSequential(Model, Src, BC).empty())
         << "k=" << K << " maxlen=" << Len;
+  }
+}
+
+TEST(Transformer, SearchWithMismatchedConstraintReturnsNothing) {
+  // A constraint over another vocabulary than the model's would index
+  // the logits row and the log-prob scratch with ids the model does not
+  // have. Every search returns no hypotheses instead, in every build
+  // type, whichever side is larger.
+  tok::Tokenizer::Config TC;
+  TC.VocabSize = 120;
+  tok::Tokenizer Tok = tok::Tokenizer::train(
+      {"int f(int a) { return a + 1; }",
+       "long g(long *p, int n) { long s = 0; while (n--) s += p[n]; "
+       "return s; }",
+       "void h(char *d, const char *s) { for (; *s; ++s) *d++ = *s; }"},
+      TC);
+  tok::VocabConstraint VC(Tok);
+  const int V = static_cast<int>(VC.vocabSize());
+  ASSERT_GE(V, 16);
+  std::vector<int> Src = {4, 5, 6};
+  for (int ModelVocab : {V / 2, V + 7, V}) {
+    TransformerConfig Cfg = tinyConfig();
+    Cfg.Vocab = ModelVocab;
+    Transformer Model(Cfg);
+    BeamConfig BC;
+    BC.BeamSize = 3;
+    BC.MaxLen = 8;
+    BC.Constraint = &VC;
+    EXPECT_EQ(searchable(Model, BC), ModelVocab == V) << ModelVocab;
+    if (ModelVocab == V)
+      continue;
+    EXPECT_TRUE(beamSearch(Model, Src, BC).empty()) << ModelVocab;
+    EXPECT_TRUE(beamSearch(Model, Model.encodeSource(Src), BC).empty())
+        << ModelVocab;
+    EXPECT_TRUE(beamSearchSequential(Model, Src, BC).empty()) << ModelVocab;
   }
 }
 

@@ -417,6 +417,35 @@ TEST(Engine, DegenerateConfigsResolveOkWithoutCrashOrHang) {
   }
 }
 
+TEST(Engine, MismatchedConstraintResolvesOkWithNothing) {
+  // A model whose vocabulary is not its tokenizer's cannot run a
+  // constrained search: the dispatcher resolves the request Ok with no
+  // hypotheses, as for no beam or no step, and the solo paths yield
+  // nothing. (The model's vocabulary is the larger one here, so every
+  // source id still has an embedding.)
+  ServeFixture F(2);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  const std::string &Asm = F.Tasks[0].Prog.TargetAsm;
+  nn::TransformerConfig Cfg = F.Slade->model().config();
+  Cfg.Vocab = static_cast<int>(F.Slade->tokenizer().vocabSize()) + 16;
+  core::Decompiler D(F.Slade->tokenizer(), nn::Transformer(Cfg));
+  serve::EngineOptions EO;
+  EO.MaxLen = 16;
+  EO.Constrain = nn::ConstrainMode::Syntax;
+  serve::Engine Eng(D, EO);
+  serve::Handle H = Eng.submit({"job", Asm, {}, {}, nullptr});
+  ASSERT_EQ(H.future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  serve::RequestResult R = H.get();
+  EXPECT_EQ(R.Status, serve::RequestStatus::Ok);
+  EXPECT_TRUE(R.Hyps.empty());
+  EXPECT_EQ(D.translate(Asm, 5, 16, nn::ConstrainMode::Syntax), "");
+  core::Decompiler::Options DO;
+  DO.MaxLen = 16;
+  DO.Constrain = nn::ConstrainMode::Syntax;
+  EXPECT_FALSE(D.decompile(F.Tasks[0], DO).Produced);
+}
+
 // -- sharded engine ----------------------------------------------------------
 
 TEST(Engine, BitExactAcrossShardCountsOnRandomizedArrivals) {
