@@ -147,11 +147,14 @@ public:
   /// Runs the pipeline on a task; candidates are tried in beam order and
   /// the first IO-passing one wins (§VI-A). With VerifyThreads != 1 the k
   /// candidates compile+execute concurrently; the winner is still the
-  /// first passing candidate in beam order.
+  /// first passing candidate in beam order. Throws std::out_of_range
+  /// when the tokenizer yields an id outside the model's vocabulary:
+  /// the tokenizer and the model do not match.
   HypothesisOutcome decompile(const EvalTask &Task,
                               const Options &Opts) const;
 
-  /// Raw model output for an assembly string (no verification).
+  /// Raw model output for an assembly string (no verification). Throws
+  /// std::out_of_range as decompile does.
   std::string translate(const std::string &Asm, int BeamSize, int MaxLen,
                         nn::ConstrainMode Constrain =
                             nn::ConstrainMode::Off) const;

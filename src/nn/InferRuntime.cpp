@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 using namespace slade;
 using namespace slade::nn;
@@ -194,6 +196,15 @@ void InferRuntime::encodeInto(const std::vector<int> &Src, EncodeScratch &S,
   int T = static_cast<int>(Src.size());
   if (T > Cfg.MaxLen)
     T = Cfg.MaxLen;
+  // Every id read below indexes TokEmb: one outside the vocabulary means
+  // the tokenizer and the model do not match. Checked in every build.
+  for (int I = 0; I < T; ++I) {
+    int Id = Src[static_cast<size_t>(I)];
+    if (Id < 0 || Id >= Cfg.Vocab)
+      throw std::out_of_range("encode: source id " + std::to_string(Id) +
+                              " is outside the model's vocabulary of " +
+                              std::to_string(Cfg.Vocab));
+  }
   int D = Cfg.DModel, H = Cfg.NHeads, Dh = D / H, FF = Cfg.FF;
   S.ensure(Cfg, T);
 

@@ -82,6 +82,8 @@ public:
 
   /// Same, over caller-owned scratch (no pool round-trip): fills
   /// Out.EncOut/TSrc only; call finishEncoderCache for cross-K/V+consts.
+  /// Throws std::out_of_range, before any work, when a source id it
+  /// reads lies outside [0, Vocab).
   void encodeInto(const std::vector<int> &Src, EncodeScratch &S,
                   Transformer::EncoderCache &Out) const;
 

@@ -231,7 +231,8 @@ public:
   /// EncodeScratch arena, no tape/per-node allocation); bit-identical to
   /// encodeSourceGraph. \p TP, when given, splits the encoder's row
   /// ranges across its workers (nn/Parallel.h) — results stay
-  /// byte-identical at any thread count.
+  /// byte-identical at any thread count. Throws std::out_of_range when a
+  /// source id lies outside [0, Vocab).
   std::shared_ptr<const EncoderCache>
   encodeSource(const std::vector<int> &Src,
                ParallelFor *TP = nullptr) const;

@@ -149,7 +149,7 @@ std::vector<double> Histogram::windowSamples() const {
 // -- Registry -----------------------------------------------------------------
 
 struct Registry::Entry {
-  enum Kind { K_Counter, K_FloatCounter, K_Gauge, K_Histogram } Kind;
+  Registry::Kind Kind;
   std::string Name;
   std::unique_ptr<Counter> C;
   std::unique_ptr<FloatCounter> F;
@@ -215,81 +215,68 @@ private:
 
 } // namespace
 
+Registry::Entry &Registry::entry(const std::string &Name, Kind K,
+                                 size_t Cells) {
+  for (std::unique_ptr<Entry> &E : Entries) {
+    if (E->Name != Name)
+      continue;
+    assert(E->Kind == K && "metric re-registered as a different type");
+    size_t Have = E->C ? E->C->NCells
+                  : E->F ? E->F->NCells
+                  : E->H ? E->H->NCells
+                         : 1;
+    if (Have == Cells)
+      return *E;
+    Retired.push_back(std::move(E));
+    E = std::make_unique<Entry>(); // Same slot: same exposition order.
+    E->Kind = K;
+    E->Name = Name;
+    return *E;
+  }
+  Entries.push_back(std::make_unique<Entry>());
+  Entries.back()->Kind = K;
+  Entries.back()->Name = Name;
+  return *Entries.back();
+}
+
 Counter &Registry::counter(const std::string &Name, const std::string &Help,
                            int Cells) {
+  const size_t N = static_cast<size_t>(std::max(Cells, 1));
   std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &E : Entries)
-    if (E->Name == Name) {
-      assert(E->Kind == Entry::K_Counter && "metric re-registered as a "
-                                            "different type");
-      return *E->C;
-    }
-  auto E = std::make_unique<Entry>();
-  E->Kind = Entry::K_Counter;
-  E->Name = Name;
-  E->C.reset(new Counter(Name, Help, static_cast<size_t>(
-                                         std::max(Cells, 1))));
-  Counter &Ref = *E->C;
-  Entries.push_back(std::move(E));
-  return Ref;
+  Entry &E = entry(Name, K_Counter, N);
+  if (!E.C)
+    E.C.reset(new Counter(Name, Help, N));
+  return *E.C;
 }
 
 FloatCounter &Registry::floatCounter(const std::string &Name,
                                      const std::string &Help, int Cells) {
+  const size_t N = static_cast<size_t>(std::max(Cells, 1));
   std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &E : Entries)
-    if (E->Name == Name) {
-      assert(E->Kind == Entry::K_FloatCounter && "metric re-registered as "
-                                                 "a different type");
-      return *E->F;
-    }
-  auto E = std::make_unique<Entry>();
-  E->Kind = Entry::K_FloatCounter;
-  E->Name = Name;
-  E->F.reset(new FloatCounter(Name, Help,
-                              static_cast<size_t>(std::max(Cells, 1))));
-  FloatCounter &Ref = *E->F;
-  Entries.push_back(std::move(E));
-  return Ref;
+  Entry &E = entry(Name, K_FloatCounter, N);
+  if (!E.F)
+    E.F.reset(new FloatCounter(Name, Help, N));
+  return *E.F;
 }
 
 Gauge &Registry::gauge(const std::string &Name, const std::string &Help) {
   std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &E : Entries)
-    if (E->Name == Name) {
-      assert(E->Kind == Entry::K_Gauge && "metric re-registered as a "
-                                          "different type");
-      return *E->G;
-    }
-  auto E = std::make_unique<Entry>();
-  E->Kind = Entry::K_Gauge;
-  E->Name = Name;
-  E->G.reset(new Gauge(Name, Help));
-  Gauge &Ref = *E->G;
-  Entries.push_back(std::move(E));
-  return Ref;
+  Entry &E = entry(Name, K_Gauge, 1);
+  if (!E.G)
+    E.G.reset(new Gauge(Name, Help));
+  return *E.G;
 }
 
 Histogram &Registry::histogram(const std::string &Name,
                                const std::string &Help,
                                std::vector<double> Bounds, int Cells,
                                size_t WindowCap) {
+  const size_t N = static_cast<size_t>(std::max(Cells, 1));
   std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &E : Entries)
-    if (E->Name == Name) {
-      assert(E->Kind == Entry::K_Histogram && "metric re-registered as a "
-                                              "different type");
-      return *E->H;
-    }
-  auto E = std::make_unique<Entry>();
-  E->Kind = Entry::K_Histogram;
-  E->Name = Name;
-  E->H.reset(new Histogram(Name, Help, std::move(Bounds),
-                           static_cast<size_t>(std::max(Cells, 1)),
-                           WindowCap));
-  Histogram &Ref = *E->H;
-  Entries.push_back(std::move(E));
-  return Ref;
+  Entry &E = entry(Name, K_Histogram, N);
+  if (!E.H)
+    E.H.reset(new Histogram(Name, Help, std::move(Bounds), N, WindowCap));
+  return *E.H;
 }
 
 uint64_t Registry::addCollector(std::function<void(MetricSink &)> Fn) {
@@ -312,7 +299,7 @@ void Registry::renderPrometheus(std::ostream &OS) const {
   std::lock_guard<std::mutex> Lock(Mu);
   for (const auto &E : Entries) {
     switch (E->Kind) {
-    case Entry::K_Counter:
+    case K_Counter:
       writeHeader(OS, E->Name, E->C->Help, "counter");
       if (E->C->cells() > 1)
         for (int I = 0; I < E->C->cells(); ++I)
@@ -322,7 +309,7 @@ void Registry::renderPrometheus(std::ostream &OS) const {
         OS << E->Name << ' '
            << promValue(static_cast<double>(E->C->value())) << '\n';
       break;
-    case Entry::K_FloatCounter:
+    case K_FloatCounter:
       writeHeader(OS, E->Name, E->F->Help, "counter");
       if (E->F->cells() > 1)
         for (int I = 0; I < E->F->cells(); ++I)
@@ -331,11 +318,11 @@ void Registry::renderPrometheus(std::ostream &OS) const {
       else
         OS << E->Name << ' ' << promValue(E->F->value()) << '\n';
       break;
-    case Entry::K_Gauge:
+    case K_Gauge:
       writeHeader(OS, E->Name, E->G->Help, "gauge");
       OS << E->Name << ' ' << promValue(E->G->value()) << '\n';
       break;
-    case Entry::K_Histogram: {
+    case K_Histogram: {
       writeHeader(OS, E->Name, E->H->Help, "histogram");
       std::vector<uint64_t> Cum = E->H->cumulativeCounts();
       const std::vector<double> &B = E->H->bounds();

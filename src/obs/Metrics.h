@@ -26,7 +26,7 @@
 ///     group at once, and emits the family into the scrape.
 ///
 /// `sampleStats()` is the ONE percentile implementation (nearest-rank +
-/// mean/max); serve::latencyStatsOf is a thin wrapper over it.
+/// mean/max); serve::EngineMetrics carries its result type as is.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_OBS_METRICS_H
@@ -56,9 +56,9 @@ struct SampleStats {
 double percentileOfSorted(const std::vector<double> &Sorted, double P);
 
 /// Nearest-rank p50/p95/p99 + mean/max over raw samples. THE percentile
-/// implementation: every consumer (EngineMetrics, slade-serve replay
-/// reporting, histogram snapshots) routes through here so conventions
-/// cannot diverge.
+/// implementation: every consumer (histogram snapshots, and through them
+/// EngineMetrics and slade-serve's summary) routes through here so
+/// conventions cannot diverge.
 SampleStats sampleStats(std::vector<double> Samples);
 
 namespace detail {
@@ -140,8 +140,9 @@ private:
 /// family), merged cumulatively at render time exactly as Prometheus
 /// expects. The window path preserves the repo's reporting contract:
 /// a bounded ring of raw samples (oldest overwritten once full) from
-/// which stats() computes EXACT nearest-rank percentiles — identical to
-/// what serve::latencyStatsOf reported before this type existed. The
+/// which stats() computes EXACT nearest-rank percentiles: sampleStats()
+/// over the window, so the engine's metrics() and slade-serve's summary
+/// report the same values a caller computes from the raw samples. The
 /// window is mutex-guarded (observations are request-rate, never
 /// tick-rate); the bucket cells are wait-free.
 class Histogram {
@@ -191,12 +192,16 @@ public:
                      const std::string &Labels, double V) = 0;
 };
 
-/// The registry: instruments registered by name (idempotent — the same
-/// name returns the same instrument) plus collector callbacks for
-/// coherent multi-metric groups. renderPrometheus() writes the full
-/// text exposition (HELP/TYPE headers, histogram _bucket/_sum/_count
-/// with le="+Inf", trailing newline) that tools/check-prom.py lints in
-/// CI.
+/// The registry: instruments registered by name plus collector callbacks
+/// for coherent multi-metric groups. Registration is idempotent: the
+/// same name and cell count return the same instrument. A registration
+/// with a DIFFERENT cell count (say, the next engine on this registry
+/// runs more shards) gets a fresh instrument, which the exposition
+/// renders in the old one's place from then on; the old one is retired,
+/// not freed, so a writer still holding it stays valid.
+/// renderPrometheus() writes the full text exposition (HELP/TYPE
+/// headers, histogram _bucket/_sum/_count with le="+Inf", trailing
+/// newline) that tools/check-prom.py lints in CI.
 class Registry {
 public:
   Registry();
@@ -205,7 +210,7 @@ public:
   Registry &operator=(const Registry &) = delete;
 
   /// \p Cells is the writer count (one per shard/thread); instruments
-  /// are never resized after creation.
+  /// are never resized after creation, only replaced (see above).
   Counter &counter(const std::string &Name, const std::string &Help,
                    int Cells = 1);
   FloatCounter &floatCounter(const std::string &Name,
@@ -226,9 +231,14 @@ public:
   bool renderPrometheusFile(const std::string &Path) const;
 
 private:
+  enum Kind { K_Counter, K_FloatCounter, K_Gauge, K_Histogram };
   struct Entry;
+  /// The entry registered as \p Name, replaced or appended as the class
+  /// comment says; a new entry holds no instrument yet. Caller holds Mu.
+  Entry &entry(const std::string &Name, Kind K, size_t Cells);
   mutable std::mutex Mu; ///< Registration + scrape; never on a hot path.
   std::vector<std::unique_ptr<Entry>> Entries;
+  std::vector<std::unique_ptr<Entry>> Retired; ///< Replaced, still held.
   std::vector<std::pair<uint64_t, std::function<void(MetricSink &)>>>
       Collectors;
   uint64_t NextToken = 1;

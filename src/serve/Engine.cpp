@@ -43,32 +43,6 @@ int slade::serve::resolveShardCount(int Requested) {
   return static_cast<int>(std::min<unsigned>(N ? N : 1, 8));
 }
 
-LatencyStats slade::serve::latencyStatsOf(std::vector<double> Samples) {
-  obs::SampleStats St = obs::sampleStats(std::move(Samples));
-  LatencyStats S;
-  S.P50 = St.P50;
-  S.P95 = St.P95;
-  S.P99 = St.P99;
-  S.Mean = St.Mean;
-  S.Max = St.Max;
-  return S;
-}
-
-namespace {
-
-/// Serve-typed view of a histogram's exact-window stats.
-LatencyStats toLatencyStats(const obs::SampleStats &St) {
-  LatencyStats S;
-  S.P50 = St.P50;
-  S.P95 = St.P95;
-  S.P99 = St.P99;
-  S.Mean = St.Mean;
-  S.Max = St.Max;
-  return S;
-}
-
-} // namespace
-
 /// One request's completion channel: who to tell, when it arrived, when
 /// it must be done, and how to tell it is no longer wanted.
 struct Engine::Completion {
@@ -165,7 +139,7 @@ struct Engine::ShardMsg {
 /// state, free segments and scratch) — nothing on its hot tick is shared
 /// with other shards. Cross-thread surface: the inbox (dispatcher ->
 /// shard) and the shard's single-writer instrument cells (the per-tick
-/// utilization/constraint/spec accumulators moved into the metrics
+/// utilization/constraint accumulators moved into the metrics
 /// registry — Engine::Ins, cell == Index — keeping the exact
 /// single-writer relaxed-store discipline they had as raw atomics).
 struct Engine::Shard {
@@ -209,10 +183,10 @@ Engine::~Engine() {
   Reg.removeCollector(CollectorToken);
 }
 
-/// Registers the engine's instrument set. Idempotent per registry name:
-/// two engines sharing one external registry share the counters too
-/// (their cells line up only at equal shard counts — slade-serve's one
-/// engine per registry is the intended shape).
+/// Registers the engine's instrument set. Idempotent per registry name
+/// at an equal shard count: a later engine on the same external
+/// registry continues the counters; one with a different shard count
+/// gets fresh per-shard families (obs::Registry replaces them).
 void Engine::registerInstruments() {
   const int N = this->Opts.Shards;
   Ins.Sources = &Reg.counter(
@@ -237,13 +211,6 @@ void Engine::registerInstruments() {
   Ins.ParallelRegions = &Reg.counter(
       "slade_shard_parallel_regions_total",
       "Intra-tick pool regions fanned out, per shard", N);
-  Ins.TickThreadsGauge = &Reg.gauge(
-      "slade_engine_tick_threads",
-      "Intra-tick worker threads per shard (1 = no pool)");
-  Ins.TickThreadsGauge->set(static_cast<double>(this->Opts.TickThreads));
-  Ins.LiveSourcesGauge = &Reg.gauge(
-      "slade_engine_live_sources",
-      "Sources currently admitted into decode rows, all shards");
   Ins.QueueWait = &Reg.histogram(
       "slade_engine_queue_wait_seconds",
       "submit() to decode-row admission, OK requests only",
@@ -256,81 +223,67 @@ void Engine::registerInstruments() {
       Reg.addCollector([this](obs::MetricSink &Sink) { collectInto(Sink); });
 }
 
-/// The coherent-group collector: every completion-side counter below is
-/// written under MetricsMu, so scraping them one atomic at a time could
-/// tear the accounting invariant (Completed == sum of typed outcomes).
-/// Instead the scrape takes ONE snapshot under the same mutex — the
+EngineMetrics Engine::totals() const {
+  std::lock_guard<std::mutex> Lock(MetricsMu);
+  return Totals;
+}
+
+/// The coherent-group collector: every completion-side total is written
+/// under MetricsMu, so scraping them one atomic at a time could tear the
+/// accounting invariant (Completed == sum of typed outcomes). Instead
+/// the scrape emits from ONE copy taken under the same mutex — the
 /// invariant holds on every exposition, mid-flight included.
 void Engine::collectInto(obs::MetricSink &Sink) const {
-  size_t Sub, Comp, Ok, Fused, Dedup, CacheHits, CacheMisses, Peak;
-  size_t Shed, Expired, Cancelled, ShutDown, EncFailed, VerFailed;
-  uint64_t VTimeouts, VRetries;
-  double EncSec, VerSec, DrMs;
-  {
-    std::lock_guard<std::mutex> Lock(MetricsMu);
-    Sub = Submitted;
-    Comp = Completed;
-    Ok = OkCount;
-    Fused = FusedJobs;
-    Dedup = InFlightDeduped;
-    CacheHits = DecodeCacheHits;
-    CacheMisses = DecodeCacheMisses;
-    Peak = PeakLiveSources;
-    Shed = ShedCount;
-    Expired = ExpiredCount;
-    Cancelled = CancelledCount;
-    ShutDown = ShutDownCount;
-    EncFailed = EncodeFailedCount;
-    VerFailed = VerifyFailedCount;
-    VTimeouts = VerifyTimeouts;
-    VRetries = VerifyRetries;
-    EncSec = EncodeSeconds;
-    VerSec = VerifySeconds;
-    DrMs = DrainMs;
-  }
-  auto D = [](size_t V) { return static_cast<double>(V); };
+  const EngineMetrics T = totals();
+  auto D = [](uint64_t V) { return static_cast<double>(V); };
   Sink.counter("slade_engine_requests_submitted_total",
-               "Requests accepted by submit()", "", D(Sub));
+               "Requests accepted by submit()", "", D(T.Submitted));
   Sink.counter("slade_engine_requests_completed_total",
-               "Typed resolutions, any status", "", D(Comp));
+               "Typed resolutions, any status", "", D(T.Completed));
   const char *H = "Typed resolutions by outcome";
-  Sink.counter("slade_engine_outcome_total", H, "status=\"ok\"", D(Ok));
+  Sink.counter("slade_engine_outcome_total", H, "status=\"ok\"", D(T.Ok));
   Sink.counter("slade_engine_outcome_total", H, "status=\"queue_full\"",
-               D(Shed));
+               D(T.Shed));
   Sink.counter("slade_engine_outcome_total", H,
-               "status=\"deadline_expired\"", D(Expired));
+               "status=\"deadline_expired\"", D(T.Expired));
   Sink.counter("slade_engine_outcome_total", H, "status=\"cancelled\"",
-               D(Cancelled));
+               D(T.Cancelled));
   Sink.counter("slade_engine_outcome_total", H, "status=\"shutting_down\"",
-               D(ShutDown));
+               D(T.ShutDown));
   Sink.counter("slade_engine_outcome_total", H, "status=\"encode_failed\"",
-               D(EncFailed));
+               D(T.EncodeFailed));
   Sink.counter("slade_engine_outcome_total", H, "status=\"verify_failed\"",
-               D(VerFailed));
+               D(T.VerifyFailed));
   Sink.counter("slade_engine_fused_jobs_total",
-               "Requests that shared a decode tick", "", D(Fused));
+               "Requests that shared a decode tick", "", D(T.FusedJobs));
   Sink.counter("slade_engine_inflight_deduped_total",
                "Requests attached to a live identical decode", "",
-               D(Dedup));
+               D(T.InFlightDeduped));
   Sink.counter("slade_engine_decode_cache_hits_total",
                "Requests served from the decoded-hypotheses LRU", "",
-               D(CacheHits));
+               D(T.DecodeCacheHits));
   Sink.counter("slade_engine_decode_cache_misses_total",
-               "Decode-LRU lookups that missed", "", D(CacheMisses));
+               "Decode-LRU lookups that missed", "", D(T.DecodeCacheMisses));
+  Sink.gauge("slade_engine_tick_threads",
+             "Intra-tick worker threads per shard (1 = no pool)", "",
+             static_cast<double>(Opts.TickThreads));
+  Sink.gauge("slade_engine_live_sources",
+             "Sources currently admitted into decode rows, all shards", "",
+             D(T.LiveSources));
   Sink.gauge("slade_engine_peak_live_sources",
-             "Peak concurrently-live sources, all shards", "", D(Peak));
+             "Peak concurrently-live sources, all shards", "",
+             D(T.PeakLiveSources));
   Sink.counter("slade_engine_encode_seconds_total",
-               "Encoder passes at dispatch", "", EncSec);
+               "Encoder passes at dispatch", "", T.EncodeSeconds);
   Sink.counter("slade_engine_verify_seconds_total",
-               "Summed pool verify time (overlapped)", "", VerSec);
+               "Summed pool verify time (overlapped)", "", T.VerifySeconds);
   Sink.counter("slade_engine_verify_timeouts_total",
                "Candidates cut by the verify timeout", "",
-               static_cast<double>(VTimeouts));
+               D(T.VerifyTimeouts));
   Sink.counter("slade_engine_verify_retries_total",
-               "Transient verify attempts retried", "",
-               static_cast<double>(VRetries));
+               "Transient verify attempts retried", "", D(T.VerifyRetries));
   Sink.gauge("slade_engine_drain_ms",
-             "Wall ms the terminal drain()/stop() took", "", DrMs);
+             "Wall ms the terminal drain()/stop() took", "", T.DrainMs);
   // Weight-version pack caches (nn/Transformer.h): how often the decode
   // constants / packed tiles rebuilt and the bytes the packs pin.
   nn::Transformer::PackCacheStats PS = this->D.model().packCacheStats();
@@ -369,7 +322,7 @@ void Engine::shutdownImpl(Clock::time_point Deadline) {
     if (Pool)
       Pool->wait();
     std::lock_guard<std::mutex> Lock(MetricsMu);
-    DrainMs = secondsSince(T0) * 1000.0;
+    Totals.DrainMs = secondsSince(T0) * 1000.0;
   });
 }
 
@@ -408,7 +361,7 @@ Handle Engine::submitImpl(DecompileRequest R,
   // Submitted (drain() would return with work in flight).
   {
     std::lock_guard<std::mutex> Lock(MetricsMu);
-    ++Submitted;
+    ++Totals.Submitted;
   }
   // Shed pre-expired work at the door: no queue slot, no dispatch.
   if (A.SubmitTime >= A.Req.Deadline) {
@@ -440,7 +393,7 @@ Handle Engine::submitImpl(DecompileRequest R,
   if (!Ok) {
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      --Submitted;
+      --Totals.Submitted;
     }
     DrainCv.notify_all(); // Re-check any drain() blocked on the count.
   }
@@ -467,42 +420,21 @@ bool Engine::trySubmit(DecompileRequest R, Handle *Out) {
 
 void Engine::drain() {
   std::unique_lock<std::mutex> Lock(MetricsMu);
-  DrainCv.wait(Lock, [this] { return Completed >= Submitted; });
+  DrainCv.wait(Lock,
+               [this] { return Totals.Completed >= Totals.Submitted; });
 }
 
 EngineMetrics Engine::metrics() const {
-  EngineMetrics M;
-  {
-    // ONE coherent snapshot of every completion-side counter: all of
-    // them are written under this mutex, so `Completed == Ok + Shed +
-    // Expired + Cancelled + ShutDown + EncodeFailed + VerifyFailed`
-    // and `Completed <= Submitted` hold on every scrape, mid-flight
-    // included (pinned by the concurrent-scrape soak test).
-    std::lock_guard<std::mutex> Lock(MetricsMu);
-    M.Submitted = Submitted;
-    M.Completed = Completed;
-    M.Ok = OkCount;
-    M.FusedJobs = FusedJobs;
-    M.InFlightDeduped = InFlightDeduped;
-    M.DecodeCacheHits = DecodeCacheHits;
-    M.DecodeCacheMisses = DecodeCacheMisses;
-    M.PeakLiveSources = PeakLiveSources;
-    M.EncodeSeconds = EncodeSeconds;
-    M.VerifySeconds = VerifySeconds;
-    M.Shed = ShedCount;
-    M.Expired = ExpiredCount;
-    M.Cancelled = CancelledCount;
-    M.ShutDown = ShutDownCount;
-    M.EncodeFailed = EncodeFailedCount;
-    M.VerifyFailed = VerifyFailedCount;
-    M.VerifyTimeouts = VerifyTimeouts;
-    M.VerifyRetries = VerifyRetries;
-    M.DrainMs = DrainMs;
-  }
+  // ONE coherent copy of every completion-side total: all of them are
+  // written under MetricsMu, so `Completed == Ok + Shed + Expired +
+  // Cancelled + ShutDown + EncodeFailed + VerifyFailed` and `Completed
+  // <= Submitted` hold on every scrape, mid-flight included (pinned by
+  // the concurrent-scrape soak test).
+  EngineMetrics M = totals();
   // Exact nearest-rank percentiles over the histograms' bounded sample
-  // windows — the same values the raw sample vectors used to yield.
-  M.QueueWait = toLatencyStats(Ins.QueueWait->stats());
-  M.Latency = toLatencyStats(Ins.Latency->stats());
+  // windows (the OK requests' QueueWaitSeconds and TotalSeconds).
+  M.QueueWait = Ins.QueueWait->stats();
+  M.Latency = Ins.Latency->stats();
   M.Shards.reserve(ShardsVec.size());
   for (const std::unique_ptr<Shard> &S : ShardsVec) {
     const int I = S->Index;
@@ -540,30 +472,30 @@ void Engine::completeResult(RequestResult &&Res, Completion &&C) {
       // request resolving in microseconds must not fake a fast p50.
       // (Histogram observes under MetricsMu: one writer at a time, and
       // the Ok/latency bookkeeping stays one coherent unit.)
-      ++OkCount;
-      Ins.QueueWait->observe(0, C.QueueWait);
+      ++Totals.Ok;
+      Ins.QueueWait->observe(0, Res.QueueWaitSeconds);
       Ins.Latency->observe(0, Res.TotalSeconds);
       break;
     case RequestStatus::QueueFull:
-      ++ShedCount;
+      ++Totals.Shed;
       break;
     case RequestStatus::DeadlineExpired:
-      ++ExpiredCount;
+      ++Totals.Expired;
       break;
     case RequestStatus::Cancelled:
-      ++CancelledCount;
+      ++Totals.Cancelled;
       break;
     case RequestStatus::ShuttingDown:
-      ++ShutDownCount;
+      ++Totals.ShutDown;
       break;
     case RequestStatus::EncodeFailed:
-      ++EncodeFailedCount;
+      ++Totals.EncodeFailed;
       break;
     case RequestStatus::VerifyFailed:
-      ++VerifyFailedCount;
+      ++Totals.VerifyFailed;
       break;
     }
-    ++Completed;
+    ++Totals.Completed;
   }
   if (C.Traced)
     obs::trace().instant(obs::SpanKind::Resolve, C.Seq,
@@ -588,7 +520,7 @@ void Engine::completeOne(
     std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps) {
   if (C.Shared) {
     std::lock_guard<std::mutex> Lock(MetricsMu);
-    ++FusedJobs;
+    ++Totals.FusedJobs;
   }
   // Last pre-payload cancellation point: the decode finished, but the
   // client may have cancelled or expired while it ran.
@@ -635,7 +567,7 @@ void Engine::completeOne(
       if (Dead != RequestStatus::Ok) {
         {
           std::lock_guard<std::mutex> Lock(MetricsMu);
-          VerifySeconds += secondsSince(T0);
+          Totals.VerifySeconds += secondsSince(T0);
         }
         completeEmpty(std::move(*Shared), Dead);
         return;
@@ -677,9 +609,9 @@ void Engine::completeOne(
       CandSpan.end();
       if (AS.Retries || AS.TimedOut) {
         std::lock_guard<std::mutex> Lock(MetricsMu);
-        VerifyRetries += static_cast<uint64_t>(AS.Retries);
+        Totals.VerifyRetries += static_cast<uint64_t>(AS.Retries);
         if (AS.TimedOut)
-          ++VerifyTimeouts;
+          ++Totals.VerifyTimeouts;
       }
       if (AS.Faulted || AS.TimedOut)
         Degraded = true; // This candidate gave up: selection may shift.
@@ -710,7 +642,7 @@ void Engine::completeOne(
     Res.Hyps = *Hyps;
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      VerifySeconds += secondsSince(T0);
+      Totals.VerifySeconds += secondsSince(T0);
     }
     completeResult(std::move(Res), std::move(*Shared));
   });
@@ -804,14 +736,14 @@ void Engine::dispatchLoop() {
               D.decodeCache().get(Src, Model.weightVersion(), BC)) {
         {
           std::lock_guard<std::mutex> Lock(MetricsMu);
-          ++DecodeCacheHits;
+          ++Totals.DecodeCacheHits;
         }
         C.QueueWait = secondsSince(C.SubmitTime);
         completeOne(std::move(C), std::move(Hyps));
         continue;
       }
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      ++DecodeCacheMisses;
+      ++Totals.DecodeCacheMisses;
     }
     std::string SrcKey(reinterpret_cast<const char *>(Src.data()),
                        Src.size() * sizeof(int));
@@ -862,7 +794,7 @@ void Engine::dispatchLoop() {
       Router.retire(std::string(), SI);
       {
         std::lock_guard<std::mutex> Lock(MetricsMu);
-        EncodeSeconds += secondsSince(T0);
+        Totals.EncodeSeconds += secondsSince(T0);
       }
       completeEmpty(std::move(C), RequestStatus::EncodeFailed);
       continue;
@@ -870,7 +802,7 @@ void Engine::dispatchLoop() {
     EncodeSpan.end();
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      EncodeSeconds += secondsSince(T0);
+      Totals.EncodeSeconds += secondsSince(T0);
     }
     if (C.Traced)
       C.RouteNs = TR.nowNs();
@@ -935,8 +867,7 @@ void Engine::shardLoop(Shard &S) {
     Batch.abort(J.Seg);
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     std::lock_guard<std::mutex> Lock(MetricsMu);
-    --LiveSources;
-    Ins.LiveSourcesGauge->set(static_cast<double>(LiveSources));
+    --Totals.LiveSources;
   };
 
   // Retires a job whose source BeamBatch finished (\p F): feeds the
@@ -958,50 +889,63 @@ void Engine::shardLoop(Shard &S) {
     Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      --LiveSources;
-      Ins.LiveSourcesGauge->set(static_cast<double>(LiveSources));
+      --Totals.LiveSources;
     }
     finishJob(std::move(J), std::move(Hyps));
   };
 
-  // The per-tick cancellation sweep. Dead attached completions resolve
-  // individually; a dead Main promotes the oldest live attached
-  // completion (the decode is still wanted — someone is waiting on it);
-  // a job with NO live client left aborts its row entirely, recycling
-  // the segment for queued work in the SAME iteration's admission pass.
-  // With Force set every completion resolves as \p ForceSt regardless
-  // of its own state (the drain-deadline path).
+  // The one dead-completion rule, for a live job and a pending message
+  // alike. Dead attached completions resolve individually; a dead Main
+  // promotes the oldest live attached completion (the decode is still
+  // wanted — someone is waiting on it). With Force set every completion
+  // resolves as \p ForceSt regardless of its own state (the
+  // drain-deadline path). False once no client is left: the caller
+  // aborts the row or returns the router slot.
+  auto ShedDead = [&](Completion &Main, std::vector<Completion> &Attached,
+                      Clock::time_point Now, bool Force,
+                      RequestStatus ForceSt) {
+    size_t AKeep = 0;
+    for (size_t AI = 0; AI < Attached.size(); ++AI) {
+      RequestStatus St = Force ? ForceSt : Attached[AI].deadStatus(Now);
+      if (St != RequestStatus::Ok) {
+        completeEmpty(std::move(Attached[AI]), St);
+        continue;
+      }
+      // Never self-move: it would empty the completion's Name.
+      if (AKeep != AI)
+        Attached[AKeep] = std::move(Attached[AI]);
+      ++AKeep;
+    }
+    Attached.resize(AKeep);
+    RequestStatus MainSt = Force ? ForceSt : Main.deadStatus(Now);
+    if (MainSt == RequestStatus::Ok)
+      return true;
+    completeEmpty(std::move(Main), MainSt);
+    if (Attached.empty())
+      return false;
+    Main = std::move(Attached.front());
+    Attached.erase(Attached.begin());
+    return true;
+  };
+
+  // A pending message with no client left gives back the router slot
+  // its admission reserved (attaches reserved none).
+  auto DropMsg = [&](ShardMsg &M) {
+    if (!M.Attach)
+      Router.retire(M.Registered ? M.SrcKey : std::string(), S.Index);
+  };
+
+  // The per-tick cancellation sweep: a job with NO live client left
+  // aborts its row entirely, recycling the segment for queued work in
+  // the SAME iteration's admission pass.
   auto SweepJobs = [&](bool Force, RequestStatus ForceSt) {
-    if (Jobs.empty())
-      return;
     auto Now = Clock::now();
     size_t Keep = 0;
     for (size_t JI = 0; JI < Jobs.size(); ++JI) {
       Job &J = *Jobs[JI];
-      size_t AKeep = 0;
-      for (size_t AI = 0; AI < J.Attached.size(); ++AI) {
-        RequestStatus St2 =
-            Force ? ForceSt : J.Attached[AI].deadStatus(Now);
-        if (St2 != RequestStatus::Ok) {
-          completeEmpty(std::move(J.Attached[AI]), St2);
-          continue;
-        }
-        // Never self-move: it would empty the completion's Name.
-        if (AKeep != AI)
-          J.Attached[AKeep] = std::move(J.Attached[AI]);
-        ++AKeep;
-      }
-      J.Attached.resize(AKeep);
-      RequestStatus MainSt = Force ? ForceSt : J.Main.deadStatus(Now);
-      if (MainSt != RequestStatus::Ok) {
-        completeEmpty(std::move(J.Main), MainSt);
-        if (!J.Attached.empty()) {
-          J.Main = std::move(J.Attached.front());
-          J.Attached.erase(J.Attached.begin());
-        } else {
-          AbortJobRow(J);
-          continue; // Job dropped.
-        }
+      if (!ShedDead(J.Main, J.Attached, Now, Force, ForceSt)) {
+        AbortJobRow(J);
+        continue; // Job dropped.
       }
       Jobs[Keep++] = std::move(Jobs[JI]);
     }
@@ -1038,9 +982,9 @@ void Engine::shardLoop(Shard &S) {
     Ins.Sources->add(S.Index, 1);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
-      ++LiveSources;
-      PeakLiveSources = std::max(PeakLiveSources, LiveSources);
-      Ins.LiveSourcesGauge->set(static_cast<double>(LiveSources));
+      ++Totals.LiveSources;
+      Totals.PeakLiveSources =
+          std::max(Totals.PeakLiveSources, Totals.LiveSources);
     }
     Jobs.push_back(std::move(J));
     return true;
@@ -1056,36 +1000,11 @@ void Engine::shardLoop(Shard &S) {
     size_t Keep = 0;
     for (size_t MI = 0; MI < Pending.size(); ++MI) {
       ShardMsg &M = Pending[MI];
-      auto Now = Clock::now();
-      // Shed dead work before it binds a row. An admission that dies
-      // here promotes a live duplicate (same semantics as the job
-      // sweep); with none left it returns its reserved router slot.
-      {
-        size_t AKeep = 0;
-        for (size_t AI = 0; AI < M.Attached.size(); ++AI) {
-          RequestStatus ASt = M.Attached[AI].deadStatus(Now);
-          if (ASt != RequestStatus::Ok) {
-            completeEmpty(std::move(M.Attached[AI]), ASt);
-            continue;
-          }
-          if (AKeep != AI) // Never self-move (see SweepJobs).
-            M.Attached[AKeep] = std::move(M.Attached[AI]);
-          ++AKeep;
-        }
-        M.Attached.resize(AKeep);
-        RequestStatus MSt = M.C.deadStatus(Now);
-        if (MSt != RequestStatus::Ok) {
-          completeEmpty(std::move(M.C), MSt);
-          if (!M.Attached.empty()) {
-            M.C = std::move(M.Attached.front());
-            M.Attached.erase(M.Attached.begin());
-          } else {
-            if (!M.Attach)
-              Router.retire(M.Registered ? M.SrcKey : std::string(),
-                            S.Index);
-            continue; // Message dropped, typed resolutions sent.
-          }
-        }
+      // Shed dead work before it binds a row (the job sweep's rule).
+      if (!ShedDead(M.C, M.Attached, Clock::now(), /*Force=*/false,
+                    RequestStatus::Ok)) {
+        DropMsg(M);
+        continue; // Message dropped, typed resolutions sent.
       }
       if (M.Attach) {
         // Attach to the live job decoding this source...
@@ -1100,7 +1019,7 @@ void Engine::shardLoop(Shard &S) {
           M.C.QueueWait = secondsSince(M.C.SubmitTime);
           Tgt->Attached.push_back(std::move(M.C));
           std::lock_guard<std::mutex> Lock(MetricsMu);
-          ++InFlightDeduped;
+          ++Totals.InFlightDeduped;
           continue;
         }
         // ...or to a pending admission of the same source (the target
@@ -1116,7 +1035,7 @@ void Engine::shardLoop(Shard &S) {
           // admission actually binds a row (TryAdmit).
           P->Attached.push_back(std::move(M.C));
           std::lock_guard<std::mutex> Lock(MetricsMu);
-          ++InFlightDeduped;
+          ++Totals.InFlightDeduped;
           continue;
         }
         // ...or the target retired before the attach landed: its result
@@ -1127,7 +1046,7 @@ void Engine::shardLoop(Shard &S) {
                   D.decodeCache().get(M.Src, Model.weightVersion(), BC)) {
             {
               std::lock_guard<std::mutex> Lock(MetricsMu);
-              ++DecodeCacheHits;
+              ++Totals.DecodeCacheHits;
             }
             M.C.QueueWait = secondsSince(M.C.SubmitTime);
             completeOne(std::move(M.C), std::move(Hyps));
@@ -1156,12 +1075,12 @@ void Engine::shardLoop(Shard &S) {
   // Force-resolves EVERYTHING this shard holds as ShuttingDown (the
   // drain deadline passed): pending messages, then live jobs.
   auto ForceShedAll = [&] {
+    auto Now = Clock::now();
     for (ShardMsg &M : Pending) {
-      for (Completion &AC : M.Attached)
-        completeEmpty(std::move(AC), RequestStatus::ShuttingDown);
-      if (!M.Attach)
-        Router.retire(M.Registered ? M.SrcKey : std::string(), S.Index);
-      completeEmpty(std::move(M.C), RequestStatus::ShuttingDown);
+      // Forced, so no client is left: always false.
+      ShedDead(M.C, M.Attached, Now, /*Force=*/true,
+               RequestStatus::ShuttingDown);
+      DropMsg(M);
     }
     Pending.clear();
     SweepJobs(/*Force=*/true, RequestStatus::ShuttingDown);

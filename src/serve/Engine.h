@@ -145,7 +145,10 @@ struct EngineOptions {
   /// views over the SAME storage, and renderPrometheus on the registry
   /// exposes it all as Prometheus text. An external registry must
   /// outlive the engine, and must not be scraped concurrently with the
-  /// engine's destruction.
+  /// engine's destruction. It serves ONE live engine at a time (say,
+  /// the next engine after a drain() hot swap): a later engine reuses
+  /// the instrument families, or replaces a per-shard family whose
+  /// shard count differs (see obs::Registry).
   obs::Registry *Metrics = nullptr;
 };
 
@@ -153,18 +156,6 @@ struct EngineOptions {
 /// positive, else one shard per hardware thread, capped at 8 (beyond
 /// that, decode-state memory grows faster than tick throughput).
 int resolveShardCount(int Requested);
-
-/// Latency distribution over completed requests, in seconds.
-struct LatencyStats {
-  double P50 = 0, P95 = 0, P99 = 0, Mean = 0, Max = 0;
-};
-
-/// Nearest-rank percentiles + mean/max over raw samples (seconds).
-/// A thin serve-typed wrapper over obs::sampleStats — THE percentile
-/// implementation (obs/Metrics.h), shared by EngineMetrics, the
-/// registry histograms, and the slade-serve replay reporting so their
-/// conventions cannot diverge.
-LatencyStats latencyStatsOf(std::vector<double> Samples);
 
 /// Per-shard decode-loop utilization (EngineMetrics::Shards[i] is shard
 /// i). A shard with Sources == 0 while others are saturated means
@@ -178,13 +169,17 @@ struct ShardUtil {
   double DecodeSeconds = 0;
 };
 
-/// Aggregate engine counters — a SNAPSHOT VIEW over the engine's
-/// registry instruments (obs/Metrics.h) plus its mutex-guarded
-/// completion counters. Percentiles are computed over a bounded window
-/// of recently completed OK requests (the last 65536, owned by the
-/// registry histograms); shed / expired / cancelled resolutions never
-/// pollute the served-latency picture. Steps / StepRows / DecodeSeconds
-/// are sums over the per-shard instrument cells in Shards.
+/// Aggregate engine counters. The engine keeps the completion-side
+/// fields (request and outcome counts, live sources, encode / verify /
+/// drain time) in ONE record of this type, written under its metrics
+/// mutex on the completion paths; metrics() and the Prometheus
+/// collector both read one locked copy of it. metrics() then adds the
+/// rest from the registry instruments (obs/Metrics.h): Steps / StepRows
+/// / DecodeSeconds and the constraint counters are sums over the
+/// per-shard cells in Shards, and QueueWait / Latency are the registry
+/// histograms' stats() over a bounded window of recently completed OK
+/// requests (the last 65536); shed / expired / cancelled resolutions
+/// never pollute the served-latency picture.
 ///
 /// Accounting invariant, COHERENT ON EVERY SCRAPE (mid-flight, not just
 /// after drain — every outcome counter and Completed are written and
@@ -211,6 +206,7 @@ struct EngineMetrics {
   size_t DecodeCacheMisses = 0;
   /// Heap bytes held by the (decompiler-owned) decoded-hypotheses LRU.
   size_t DecodeCacheBytes = 0;
+  size_t LiveSources = 0;     ///< Sources admitted now, all shards.
   size_t PeakLiveSources = 0; ///< Peak concurrently-live, all shards.
   double EncodeSeconds = 0; ///< Encoder passes at dispatch (LRU misses).
   double DecodeSeconds = 0; ///< ShardUtil::DecodeSeconds, all shards.
@@ -229,8 +225,8 @@ struct EngineMetrics {
   uint64_t VerifyTimeouts = 0; ///< Candidates cut by the verify timeout.
   uint64_t VerifyRetries = 0;  ///< Transient verify attempts retried.
   double DrainMs = 0; ///< Wall ms the terminal drain()/stop() took.
-  LatencyStats QueueWait; ///< submit() -> decode-row admission, OK only.
-  LatencyStats Latency;   ///< submit() -> completion, OK requests only.
+  obs::SampleStats QueueWait; ///< submit() -> decode-row admission, OK only.
+  obs::SampleStats Latency;   ///< submit() -> completion, OK requests only.
   std::vector<ShardUtil> Shards; ///< Per-shard utilization.
 };
 
@@ -338,6 +334,8 @@ private:
   /// Reg (constructor) / emits the coherent snapshot (scrape).
   void registerInstruments();
   void collectInto(obs::MetricSink &Sink) const;
+  /// A copy of Totals, taken under MetricsMu.
+  EngineMetrics totals() const;
   Handle submitImpl(DecompileRequest R,
                     std::function<void(const RequestResult &)> OnDone,
                     bool Block, bool *Accepted);
@@ -375,40 +373,23 @@ private:
     obs::Counter *TokensMasked = nullptr;
     obs::FloatCounter *OracleSeconds = nullptr;
     obs::Counter *ParallelRegions = nullptr; ///< Pool fan-outs, per shard.
-    obs::Gauge *TickThreadsGauge = nullptr;  ///< Resolved TickThreads.
-    obs::Gauge *LiveSourcesGauge = nullptr;
     obs::Histogram *QueueWait = nullptr; ///< OK-only, seconds.
     obs::Histogram *Latency = nullptr;   ///< OK-only, seconds.
   } Ins;
 
   /// Completion-side aggregation: one mutex for everything written on
   /// the completion paths (dispatcher, shard threads, verify workers) —
-  /// per-request, never per-tick. The per-TICK counters live in each
-  /// Shard as single-writer atomics and are merged at metrics() time,
-  /// so N shards retiring or ticking concurrently never race (see the
-  /// aggregation stress test in tests/test_serve.cpp).
+  /// per-request, never per-tick. The per-TICK counters live in the
+  /// single-writer instrument cells above and are merged at metrics()
+  /// time, so N shards retiring or ticking concurrently never race (see
+  /// the aggregation stress test in tests/test_serve.cpp).
   mutable std::mutex MetricsMu;
   std::condition_variable DrainCv;
-  size_t Submitted = 0;
-  size_t Completed = 0;
-  size_t OkCount = 0;
-  size_t FusedJobs = 0;
-  size_t InFlightDeduped = 0;
-  size_t DecodeCacheHits = 0;
-  size_t DecodeCacheMisses = 0;
-  size_t LiveSources = 0; ///< Currently admitted into rows, all shards.
-  size_t PeakLiveSources = 0;
-  double EncodeSeconds = 0;
-  double VerifySeconds = 0;
-  size_t ShedCount = 0;
-  size_t ExpiredCount = 0;
-  size_t CancelledCount = 0;
-  size_t ShutDownCount = 0;
-  size_t EncodeFailedCount = 0;
-  size_t VerifyFailedCount = 0;
-  uint64_t VerifyTimeouts = 0;
-  uint64_t VerifyRetries = 0;
-  double DrainMs = 0;
+  /// The completion-side totals, guarded by MetricsMu: every completion
+  /// path bumps its field here, and metrics() and the Prometheus
+  /// collector both read one copy of it (totals()). The per-tick fields,
+  /// Shards, QueueWait, Latency and DecodeCacheBytes stay zero here.
+  EngineMetrics Totals;
   /// Bound for the registry histograms' exact-sample windows (ring once
   /// full), so a long-lived engine's memory and metrics() cost stay
   /// fixed.

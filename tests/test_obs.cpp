@@ -51,20 +51,6 @@ TEST(ObsStats, NearestRankPercentiles) {
   EXPECT_DOUBLE_EQ(One.P99, 3.5);
 }
 
-TEST(ObsStats, ServeLatencyStatsIsTheSameImplementation) {
-  // serve::latencyStatsOf must be a thin view over obs::sampleStats —
-  // identical numbers, so the observability refactor changed no JSONL
-  // field.
-  std::vector<double> S = {0.9, 0.1, 0.5, 0.7, 0.3};
-  serve::LatencyStats L = serve::latencyStatsOf(S);
-  obs::SampleStats R = obs::sampleStats(S);
-  EXPECT_DOUBLE_EQ(L.P50, R.P50);
-  EXPECT_DOUBLE_EQ(L.P95, R.P95);
-  EXPECT_DOUBLE_EQ(L.P99, R.P99);
-  EXPECT_DOUBLE_EQ(L.Mean, R.Mean);
-  EXPECT_DOUBLE_EQ(L.Max, R.Max);
-}
-
 // -- instruments --------------------------------------------------------------
 
 TEST(ObsMetrics, CountersAggregateAcrossCellsAndWriters) {
@@ -92,6 +78,40 @@ TEST(ObsMetrics, CountersAggregateAcrossCellsAndWriters) {
 
   // Idempotent registration: same name -> same instrument.
   EXPECT_EQ(&Reg.counter("t_total", "test", 4), &C);
+}
+
+TEST(ObsMetrics, WiderRegistrationReplacesAndRetiresTheInstrument) {
+  // The next engine on a registry may run more shards than the last: a
+  // registration with a different cell count gets a fresh instrument,
+  // and a writer still holding the old one stays valid.
+  obs::Registry Reg;
+  obs::Counter &Old = Reg.counter("t_shard_total", "test", 1);
+  Old.add(0, 5);
+  obs::Counter &New = Reg.counter("t_shard_total", "test", 4);
+  EXPECT_NE(&New, &Old);
+  EXPECT_EQ(New.cells(), 4);
+  Old.add(0, 1); // Retired, not freed.
+  EXPECT_EQ(Old.value(), 6u);
+  New.add(3, 2);
+  EXPECT_EQ(&Reg.counter("t_shard_total", "test", 4), &New);
+  obs::FloatCounter &OldF = Reg.floatCounter("t_shard_seconds_total", "", 1);
+  EXPECT_EQ(Reg.floatCounter("t_shard_seconds_total", "", 2).cells(), 2);
+  OldF.add(0, 0.5);
+
+  std::ostringstream SS;
+  Reg.renderPrometheus(SS);
+  const std::string T = SS.str();
+  size_t Types = 0;
+  for (size_t P = T.find("# TYPE t_shard_total "); P != std::string::npos;
+       P = T.find("# TYPE t_shard_total ", P + 1))
+    ++Types;
+  EXPECT_EQ(Types, 1u) << T;
+  for (int C = 0; C < 4; ++C)
+    EXPECT_NE(T.find("t_shard_total{cell=\"" + std::to_string(C) + "\"} " +
+                     (C == 3 ? "2" : "0") + "\n"),
+              std::string::npos)
+        << "cell " << C << " of the fresh instrument\n" << T;
+  EXPECT_EQ(T.find("t_shard_total 6"), std::string::npos) << T;
 }
 
 TEST(ObsMetrics, HistogramBucketsAndExactWindowAgree) {

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 using namespace slade;
@@ -444,6 +445,35 @@ TEST(Engine, MismatchedConstraintResolvesOkWithNothing) {
   DO.MaxLen = 16;
   DO.Constrain = nn::ConstrainMode::Syntax;
   EXPECT_FALSE(D.decompile(F.Tasks[0], DO).Produced);
+}
+
+TEST(Engine, OutOfVocabularySourceResolvesEncodeFailed) {
+  // A source id the model has no embedding for fails that request's
+  // encode; the dispatcher survives and serves the next request. The
+  // solo paths throw: the tokenizer and the model do not match.
+  ServeFixture F(2);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  const std::string &Asm = F.Tasks[0].Prog.TargetAsm;
+  const int Vocab = F.Slade->model().config().Vocab;
+  serve::EngineOptions EO;
+  EO.BeamSize = 2;
+  EO.MaxLen = 16;
+  serve::Engine Eng(*F.Slade, EO);
+  const std::vector<int> Bad[] = {{tok::Tokenizer::BosId, Vocab}, {-1}};
+  for (const std::vector<int> &Src : Bad)
+    EXPECT_EQ(Eng.submit({"oov", "", Src, {}, nullptr}).get().Status,
+              serve::RequestStatus::EncodeFailed);
+  serve::RequestResult R = Eng.submit({"job", Asm, {}, {}, nullptr}).get();
+  EXPECT_EQ(R.Status, serve::RequestStatus::Ok);
+  EXPECT_EQ(R.CSource, F.Slade->translate(Asm, EO.BeamSize, EO.MaxLen));
+  Eng.stop();
+  EXPECT_EQ(Eng.metrics().EncodeFailed, 2u);
+
+  nn::TransformerConfig Cfg = F.Slade->model().config();
+  Cfg.Vocab = 8;
+  ASSERT_GT(F.Slade->tokenizer().vocabSize(), 8u);
+  core::Decompiler Small(F.Slade->tokenizer(), nn::Transformer(Cfg));
+  EXPECT_THROW(Small.translate(Asm, 2, 16), std::out_of_range);
 }
 
 // -- sharded engine ----------------------------------------------------------
@@ -1237,19 +1267,89 @@ TEST(Engine, PrometheusScrapeIsCoherentMidFlight) {
   Scraper.join();
   EXPECT_GE(Scrapes.load(), 10u) << "the soak must actually overlap scrapes";
 
-  for (serve::Handle &Fut : Futs)
-    EXPECT_NO_THROW(Fut.get());
+  std::vector<double> Latency, QueueWait; // Over the Ok results.
+  for (serve::Handle &Fut : Futs) {
+    serve::RequestResult R;
+    EXPECT_NO_THROW(R = Fut.get());
+    if (R.ok()) {
+      Latency.push_back(R.TotalSeconds);
+      QueueWait.push_back(R.QueueWaitSeconds);
+    }
+  }
   serve::EngineMetrics M = Eng.metrics();
   expectAccountingClosed(M);
   // The new Ok counter closes the partition exactly.
   EXPECT_EQ(M.Ok + M.Shed + M.Expired + M.Cancelled + M.ShutDown +
                 M.EncodeFailed + M.VerifyFailed,
             M.Completed);
+  EXPECT_EQ(M.LiveSources, 0u) << "a drained engine holds no rows";
   // The registry-owned latency histogram is the JSONL percentile
   // source: exactly one observation per Ok completion.
   obs::Histogram &H = Reg.histogram("slade_engine_latency_seconds", "",
                                     obs::Histogram::defaultLatencyBounds());
   EXPECT_EQ(H.count(), static_cast<uint64_t>(M.Ok));
+  // slade-serve's summary prints these percentiles as its served ones:
+  // they must equal what the results themselves give.
+  ASSERT_EQ(Latency.size(), M.Ok);
+  for (const auto &Pair :
+       {std::make_pair(M.Latency, obs::sampleStats(Latency)),
+        std::make_pair(M.QueueWait, obs::sampleStats(QueueWait))}) {
+    EXPECT_EQ(Pair.first.P50, Pair.second.P50);
+    EXPECT_EQ(Pair.first.P95, Pair.second.P95);
+    EXPECT_EQ(Pair.first.P99, Pair.second.P99);
+    EXPECT_EQ(Pair.first.Max, Pair.second.Max);
+  }
+  // The collector emits the two engine gauges from the same store.
+  std::ostringstream SS;
+  Reg.renderPrometheus(SS);
+  EXPECT_EQ(promSample(SS.str(), "slade_engine_live_sources"), 0.0);
+  EXPECT_EQ(promSample(SS.str(), "slade_engine_tick_threads"), 1.0);
+}
+
+TEST(Engine, LaterEngineWithMoreShardsOnOneRegistry) {
+  // drain() is the weight-hot-swap primitive, and the next engine on the
+  // same registry may run more shards: it gets per-shard families of its
+  // own width, while the drained engine keeps reading the cells it
+  // wrote.
+  ServeFixture F(5);
+  ASSERT_GE(F.Tasks.size(), 4u);
+  obs::Registry Reg;
+  serve::EngineOptions EO;
+  EO.BeamSize = 2;
+  EO.MaxLen = 16;
+  EO.MaxLiveSources = 1;
+  EO.UseDecodeCache = false;
+  EO.Faults.SlowTick = 1; // Rows stay live, so placement spreads.
+  EO.Metrics = &Reg;
+  EO.Shards = 1;
+  serve::Engine First(*F.Slade, EO);
+  EXPECT_TRUE(First.submit({"first", F.Tasks[0].Prog.TargetAsm, {}, {},
+                            nullptr})
+                  .get()
+                  .ok());
+  First.drain(std::chrono::steady_clock::now() + std::chrono::seconds(20));
+
+  EO.Shards = 4;
+  serve::Engine Second(*F.Slade, EO);
+  std::vector<serve::Handle> Futs;
+  for (const core::EvalTask &T : F.Tasks)
+    Futs.push_back(
+        Second.submit({T.Name, T.Prog.TargetAsm, {}, {}, nullptr}));
+  for (serve::Handle &H : Futs)
+    EXPECT_TRUE(H.get().ok());
+  Second.stop();
+  serve::EngineMetrics M = Second.metrics();
+  ASSERT_EQ(M.Shards.size(), 4u);
+  size_t Sources = 0;
+  for (const serve::ShardUtil &U : M.Shards)
+    Sources += U.Sources;
+  EXPECT_EQ(Sources, F.Tasks.size());
+  EXPECT_EQ(
+      Reg.counter("slade_shard_sources_total", "", 4).cellValue(3),
+      M.Shards[3].Sources);
+  serve::EngineMetrics Old = First.metrics();
+  ASSERT_EQ(Old.Shards.size(), 1u);
+  EXPECT_EQ(Old.Shards[0].Sources, 1u);
 }
 
 } // namespace

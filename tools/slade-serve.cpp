@@ -467,27 +467,18 @@ void assignArrivals(std::vector<StreamItem> &Items, double RatePerSec,
 
 struct StreamOutcome {
   std::vector<serve::RequestResult> Results; ///< In item order.
-  /// SERVED (status ok) requests only: a shed request resolving in
-  /// microseconds must not fake a fast percentile.
-  std::vector<double> Latency;   ///< Arrival -> completion, OK only.
-  std::vector<double> QueueWait; ///< Arrival -> decode start, OK only.
   double WallSeconds = 0;
   double FnPerSec = 0;
-  /// Engine counters at replay end. EncodeSeconds also counts batch
-  /// mode's up-front encode.
+  /// Engine counters at replay end: Ok is the served count, and Latency
+  /// / QueueWait cover served requests only (a shed request resolving in
+  /// microseconds must not fake a fast percentile). EncodeSeconds also
+  /// counts batch mode's up-front encode.
   serve::EngineMetrics Engine;
   /// Encoder-LRU activity during the replay (stats deltas) and its heap
   /// bytes after it.
   nn::EncoderLRU::Stats EncoderRun;
   size_t EncoderCacheBytes = 0;
 
-  /// Percentiles via the serve library's one implementation.
-  serve::LatencyStats latency() const {
-    return serve::latencyStatsOf(Latency);
-  }
-  serve::LatencyStats queueWait() const {
-    return serve::latencyStatsOf(QueueWait);
-  }
   double encoderHitRate() const {
     uint64_t Lookups = EncoderRun.Hits + EncoderRun.Misses;
     return Lookups ? static_cast<double>(EncoderRun.Hits) /
@@ -510,8 +501,6 @@ StreamOutcome replayThroughEngine(const core::Decompiler &Slade,
   StreamOutcome SO;
   size_t N = Items.size();
   SO.Results.resize(N);
-  SO.Latency.reserve(N);
-  SO.QueueWait.reserve(N);
   std::vector<serve::DecompileRequest> Reqs(N);
   for (size_t I = 0; I < N; ++I) {
     Reqs[I].Name = Items[I].Name;
@@ -563,13 +552,8 @@ StreamOutcome replayThroughEngine(const core::Decompiler &Slade,
                 std::chrono::duration_cast<
                     std::chrono::steady_clock::duration>(
                     std::chrono::duration<double>(O.DrainMs / 1000.0)));
-    for (size_t I = 0; I < N; ++I) {
+    for (size_t I = 0; I < N; ++I)
       SO.Results[I] = Handles[I].get();
-      if (SO.Results[I].ok()) {
-        SO.Latency.push_back(SO.Results[I].TotalSeconds);
-        SO.QueueWait.push_back(SO.Results[I].QueueWaitSeconds);
-      }
-    }
     SO.WallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       Start)
@@ -596,14 +580,14 @@ StreamOutcome replayThroughEngine(const core::Decompiler &Slade,
 }
 
 void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
-  serve::LatencyStats QW = SO.queueWait(), L = SO.latency();
   const serve::EngineMetrics &EM = SO.Engine;
+  const obs::SampleStats &QW = EM.QueueWait, &L = EM.Latency;
   std::fprintf(
       stderr,
       "[%s] %zu requests (%zu served) in %.3fs = %.2f fn/s; served queue "
       "wait p50/p95/p99 %.1f/%.1f/%.1f ms; served latency p50/p95/p99 "
       "%.1f/%.1f/%.1f ms\n",
-      Label, SO.Results.size(), SO.Latency.size(), SO.WallSeconds,
+      Label, SO.Results.size(), EM.Ok, SO.WallSeconds,
       SO.FnPerSec, 1e3 * QW.P50, 1e3 * QW.P95, 1e3 * QW.P99, 1e3 * L.P50,
       1e3 * L.P95, 1e3 * L.P99);
   std::fprintf(stderr,
@@ -653,8 +637,8 @@ void printStreamMetrics(const char *Label, const StreamOutcome &SO) {
 /// results: machine-readable counters that make the encode-bound vs.
 /// decode-bound regime visible in the output stream.
 std::string streamJson(const char *Label, const StreamOutcome &SO) {
-  serve::LatencyStats QW = SO.queueWait(), L = SO.latency();
   const serve::EngineMetrics &EM = SO.Engine;
+  const obs::SampleStats &QW = EM.QueueWait, &L = EM.Latency;
   std::ostringstream SS;
   SS << "{\"type\": \"summary\", \"label\": \"" << serve::jsonEscape(Label)
      << "\", \"jobs\": " << SO.Results.size()
@@ -675,7 +659,7 @@ std::string streamJson(const char *Label, const StreamOutcome &SO) {
      << ", \"encoder_hit_rate\": " << SO.encoderHitRate()
      << ", \"cold_encode_ms_mean\": " << SO.coldEncodeMsMean()
      << ", \"encoder_cache_bytes\": " << SO.EncoderCacheBytes
-     << ", \"served\": " << SO.Latency.size()
+     << ", \"served\": " << EM.Ok
      << ", \"shed\": " << EM.Shed << ", \"expired\": " << EM.Expired
      << ", \"cancelled\": " << EM.Cancelled
      << ", \"shutdown\": " << EM.ShutDown
