@@ -115,17 +115,17 @@ HypothesisOutcome evaluateHypothesisBounded(const EvalTask &Task,
 /// The trained SLaDe system: tokenizer + model + the inference pipeline.
 class Decompiler {
 public:
-  /// \p EncoderCacheCap bounds the LRU of per-source encoder outputs
-  /// shared by every request through this decompiler (entry count);
-  /// \p EncoderCacheBytes additionally caps its heap bytes (0 = count
-  /// bound only). \p DecodeCacheCap / \p DecodeCacheBytes bound the
-  /// decoded-hypotheses LRU the streaming engine consults the same way.
+  /// \p EncoderCacheBytes caps the heap bytes of the LRU of per-source
+  /// encoder outputs shared by every request through this decompiler
+  /// (0 = only its count bound, nn::EncoderLRU::DefaultCapacity
+  /// sources, applies). \p DecodeCacheBytes bounds the
+  /// decoded-hypotheses LRU the streaming engine consults the same way
+  /// (count bound nn::DecodeLRU::DefaultCapacity).
   Decompiler(tok::Tokenizer Tok, nn::Transformer Model,
-             size_t EncoderCacheCap = 64, size_t EncoderCacheBytes = 0,
-             size_t DecodeCacheCap = 256, size_t DecodeCacheBytes = 0)
+             size_t EncoderCacheBytes = 0, size_t DecodeCacheBytes = 0)
       : Tok(std::move(Tok)), Model(std::move(Model)),
-        EncCache(EncoderCacheCap, EncoderCacheBytes),
-        DecCache(DecodeCacheCap, DecodeCacheBytes) {}
+        EncCache(nn::EncoderLRU::DefaultCapacity, EncoderCacheBytes),
+        DecCache(nn::DecodeLRU::DefaultCapacity, DecodeCacheBytes) {}
 
   struct Options {
     int BeamSize = 5; ///< Paper: k = 5.

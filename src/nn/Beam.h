@@ -49,7 +49,6 @@ struct ConstraintStats {
 struct BeamConfig {
   int BeamSize = 5; ///< Paper: k = 5.
   int MaxLen = 220;
-  float LengthPenalty = 1.0f; ///< Score / len^penalty ordering.
   /// When set, decode is grammar-constrained: pieces that would kill
   /// every syntactic continuation are masked pre-top-k, fully-masked
   /// beams are killed mid-flight (releasing their K/V rows), EOS is

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -229,7 +228,7 @@ SelectResult selectBeamStep(std::vector<BeamMeta> &Live,
       Hypothesis H;
       H.Tokens = Live[static_cast<size_t>(C.BeamIdx)].Tokens;
       float Len = static_cast<float>(H.Tokens.size()) + 1.0f;
-      H.Score = C.Score / std::pow(Len, Cfg.LengthPenalty);
+      H.Score = C.Score / Len;
       Done.push_back(std::move(H));
       continue;
     }
@@ -282,7 +281,7 @@ inline std::vector<Hypothesis> finalizeBeams(std::vector<BeamMeta> &&Live,
     Hypothesis H;
     H.Tokens = std::move(M.Tokens);
     float Len = static_cast<float>(H.Tokens.size()) + 1.0f;
-    H.Score = (M.Score - 5.0f) / std::pow(Len, Cfg.LengthPenalty);
+    H.Score = (M.Score - 5.0f) / Len;
     Done.push_back(std::move(H));
   }
   std::sort(Done.begin(), Done.end(),

@@ -60,7 +60,6 @@ namespace {
 struct ScratchPool {
   std::mutex Mu;
   std::vector<std::unique_ptr<EncodeScratch>> Free;
-  size_t RetainedBytes = 0;
 };
 
 ScratchPool &scratchPool() {
@@ -80,7 +79,6 @@ struct ScratchLease {
     if (!P.Free.empty()) {
       S = std::move(P.Free.back());
       P.Free.pop_back();
-      P.RetainedBytes -= S->bytes();
     } else {
       S = std::make_unique<EncodeScratch>();
     }
@@ -88,20 +86,12 @@ struct ScratchLease {
   ~ScratchLease() {
     ScratchPool &P = scratchPool();
     std::lock_guard<std::mutex> Lock(P.Mu);
-    if (P.Free.size() < MaxPooledScratches) {
-      P.RetainedBytes += S->bytes();
+    if (P.Free.size() < MaxPooledScratches)
       P.Free.push_back(std::move(S));
-    }
   }
 };
 
 } // namespace
-
-size_t slade::nn::encodeScratchRetainedBytes() {
-  ScratchPool &P = scratchPool();
-  std::lock_guard<std::mutex> Lock(P.Mu);
-  return P.RetainedBytes;
-}
 
 //===----------------------------------------------------------------------===//
 // Encoder fast path

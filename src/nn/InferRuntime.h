@@ -60,10 +60,6 @@ struct EncodeScratch {
   size_t bytes() const;
 };
 
-/// Bytes currently retained by the process-wide EncodeScratch pool
-/// (idle arenas waiting for the next encodeSource call).
-size_t encodeScratchRetainedBytes();
-
 class InferRuntime {
 public:
   /// \p TP (optional, non-owning) parallelizes the ENCODER-side entry

@@ -39,7 +39,7 @@ SampleStats slade::obs::sampleStats(std::vector<double> Samples) {
   return S;
 }
 
-// -- Counter / FloatCounter / Gauge ------------------------------------------
+// -- Counter / FloatCounter --------------------------------------------------
 
 Counter::Counter(std::string Name, std::string Help, size_t N)
     : Name(std::move(Name)), Help(std::move(Help)),
@@ -64,9 +64,6 @@ double FloatCounter::value() const {
     Total += Cells[I].get();
   return Total;
 }
-
-Gauge::Gauge(std::string Name, std::string Help)
-    : Name(std::move(Name)), Help(std::move(Help)) {}
 
 // -- Histogram ----------------------------------------------------------------
 
@@ -141,11 +138,6 @@ SampleStats Histogram::stats() const {
   return sampleStats(std::move(Samples));
 }
 
-std::vector<double> Histogram::windowSamples() const {
-  std::lock_guard<std::mutex> Lock(WindowMu);
-  return Window;
-}
-
 // -- Registry -----------------------------------------------------------------
 
 struct Registry::Entry {
@@ -153,7 +145,6 @@ struct Registry::Entry {
   std::string Name;
   std::unique_ptr<Counter> C;
   std::unique_ptr<FloatCounter> F;
-  std::unique_ptr<Gauge> G;
   std::unique_ptr<Histogram> H;
 };
 
@@ -221,10 +212,7 @@ Registry::Entry &Registry::entry(const std::string &Name, Kind K,
     if (E->Name != Name)
       continue;
     assert(E->Kind == K && "metric re-registered as a different type");
-    size_t Have = E->C ? E->C->NCells
-                  : E->F ? E->F->NCells
-                  : E->H ? E->H->NCells
-                         : 1;
+    size_t Have = E->C ? E->C->NCells : E->F ? E->F->NCells : E->H->NCells;
     if (Have == Cells)
       return *E;
     Retired.push_back(std::move(E));
@@ -259,14 +247,6 @@ FloatCounter &Registry::floatCounter(const std::string &Name,
   return *E.F;
 }
 
-Gauge &Registry::gauge(const std::string &Name, const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Entry &E = entry(Name, K_Gauge, 1);
-  if (!E.G)
-    E.G.reset(new Gauge(Name, Help));
-  return *E.G;
-}
-
 Histogram &Registry::histogram(const std::string &Name,
                                const std::string &Help,
                                std::vector<double> Bounds, int Cells,
@@ -279,17 +259,24 @@ Histogram &Registry::histogram(const std::string &Name,
   return *E.H;
 }
 
-uint64_t Registry::addCollector(std::function<void(MetricSink &)> Fn) {
+uint64_t Registry::addCollector(const std::string &Key,
+                                std::function<void(MetricSink &)> Fn) {
   std::lock_guard<std::mutex> Lock(Mu);
   uint64_t Token = NextToken++;
-  Collectors.emplace_back(Token, std::move(Fn));
+  for (Collector &C : Collectors)
+    if (C.Key == Key) {
+      C.Token = Token;
+      C.Fn = std::move(Fn);
+      return Token;
+    }
+  Collectors.push_back({Token, Key, std::move(Fn)});
   return Token;
 }
 
 void Registry::removeCollector(uint64_t Token) {
   std::lock_guard<std::mutex> Lock(Mu);
   for (size_t I = 0; I < Collectors.size(); ++I)
-    if (Collectors[I].first == Token) {
+    if (Collectors[I].Token == Token) {
       Collectors.erase(Collectors.begin() + static_cast<long>(I));
       return;
     }
@@ -318,10 +305,6 @@ void Registry::renderPrometheus(std::ostream &OS) const {
       else
         OS << E->Name << ' ' << promValue(E->F->value()) << '\n';
       break;
-    case K_Gauge:
-      writeHeader(OS, E->Name, E->G->Help, "gauge");
-      OS << E->Name << ' ' << promValue(E->G->value()) << '\n';
-      break;
     case K_Histogram: {
       writeHeader(OS, E->Name, E->H->Help, "histogram");
       std::vector<uint64_t> Cum = E->H->cumulativeCounts();
@@ -337,8 +320,8 @@ void Registry::renderPrometheus(std::ostream &OS) const {
     }
   }
   TextSink Sink(OS);
-  for (const auto &C : Collectors)
-    C.second(Sink);
+  for (const Collector &C : Collectors)
+    C.Fn(Sink);
 }
 
 bool Registry::renderPrometheusFile(const std::string &Path) const {

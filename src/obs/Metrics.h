@@ -1,10 +1,11 @@
 //===- Metrics.h - unified metrics registry (Prometheus exposition) -*- C++ -*-===//
 ///
 /// \file
-/// The serving stack's ONE metrics surface: counters, gauges, and
-/// fixed-bucket histograms registered by name in a Registry and
-/// rendered as Prometheus text exposition. Three design rules, lifted
-/// from the engine's existing accounting discipline:
+/// The serving stack's ONE metrics surface: counters and fixed-bucket
+/// histograms registered by name in a Registry, plus collector
+/// callbacks that emit counters and gauges, rendered as Prometheus text
+/// exposition. Three design rules, lifted from the engine's existing
+/// accounting discipline:
 ///
 ///  1. SINGLE-WRITER CELLS. A Counter/Histogram is a row of
 ///     cache-line-padded cells; each cell has exactly one writer (shard
@@ -120,19 +121,6 @@ private:
   std::unique_ptr<detail::Cell<double>[]> Cells;
 };
 
-/// Last-write-wins instantaneous value (queue depth, live sources).
-class Gauge {
-public:
-  void set(double V) { Val.store(V, std::memory_order_relaxed); }
-  double value() const { return Val.load(std::memory_order_relaxed); }
-
-private:
-  friend class Registry;
-  Gauge(std::string Name, std::string Help);
-  std::string Name, Help;
-  std::atomic<double> Val{0};
-};
-
 /// Fixed-bucket histogram + bounded exact-sample window.
 ///
 /// The bucket path is the scrape surface: per-cell single-writer counts
@@ -156,8 +144,6 @@ public:
   const std::vector<double> &bounds() const { return Bounds; }
   /// Exact nearest-rank stats over the bounded sample window.
   SampleStats stats() const;
-  /// Copy of the current window (testing / external aggregation).
-  std::vector<double> windowSamples() const;
 
   /// Default latency bucket bounds, seconds: 1ms..64s powers of two.
   static std::vector<double> defaultLatencyBounds();
@@ -215,14 +201,17 @@ public:
                    int Cells = 1);
   FloatCounter &floatCounter(const std::string &Name,
                              const std::string &Help, int Cells = 1);
-  Gauge &gauge(const std::string &Name, const std::string &Help);
   Histogram &histogram(const std::string &Name, const std::string &Help,
                        std::vector<double> Bounds, int Cells = 1,
                        size_t WindowCap = 1 << 16);
 
-  /// Registers a coherent-group collector; returns a token for
-  /// removeCollector (owners MUST remove themselves before dying).
-  uint64_t addCollector(std::function<void(MetricSink &)> Fn);
+  /// Registers a coherent-group collector under \p Key and returns a
+  /// token for removeCollector (owners MUST remove themselves before
+  /// dying). A collector added under a Key already registered replaces
+  /// the earlier one in its render slot; the replaced token's
+  /// removeCollector is then a no-op.
+  uint64_t addCollector(const std::string &Key,
+                        std::function<void(MetricSink &)> Fn);
   void removeCollector(uint64_t Token);
 
   /// Prometheus text exposition of every instrument + collector.
@@ -231,7 +220,7 @@ public:
   bool renderPrometheusFile(const std::string &Path) const;
 
 private:
-  enum Kind { K_Counter, K_FloatCounter, K_Gauge, K_Histogram };
+  enum Kind { K_Counter, K_FloatCounter, K_Histogram };
   struct Entry;
   /// The entry registered as \p Name, replaced or appended as the class
   /// comment says; a new entry holds no instrument yet. Caller holds Mu.
@@ -239,8 +228,12 @@ private:
   mutable std::mutex Mu; ///< Registration + scrape; never on a hot path.
   std::vector<std::unique_ptr<Entry>> Entries;
   std::vector<std::unique_ptr<Entry>> Retired; ///< Replaced, still held.
-  std::vector<std::pair<uint64_t, std::function<void(MetricSink &)>>>
-      Collectors;
+  struct Collector {
+    uint64_t Token;
+    std::string Key;
+    std::function<void(MetricSink &)> Fn;
+  };
+  std::vector<Collector> Collectors;
   uint64_t NextToken = 1;
 };
 

@@ -79,19 +79,6 @@ bool AdmissionQueue::pop(Admission *Out) {
   return true;
 }
 
-bool AdmissionQueue::tryPop(Admission *Out) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Items.empty())
-      return false;
-    std::pop_heap(Items.begin(), Items.end(), laterThan);
-    *Out = std::move(Items.back());
-    Items.pop_back();
-  }
-  NotFull.notify_one();
-  return true;
-}
-
 void AdmissionQueue::close() {
   {
     std::lock_guard<std::mutex> Lock(Mu);

@@ -170,8 +170,6 @@ public:
   /// Dequeues the earliest-deadline item, blocking while the queue is
   /// empty. Returns false only when the queue is closed AND drained.
   bool pop(Admission *Out);
-  /// Non-blocking dequeue; false when empty.
-  bool tryPop(Admission *Out);
 
   /// Closes the queue: subsequent pushes fail, pops drain what remains.
   void close();

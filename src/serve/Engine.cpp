@@ -179,7 +179,8 @@ Engine::Engine(const core::Decompiler &D, const EngineOptions &Opts)
 Engine::~Engine() {
   stop();
   // The collector captures `this`: it must not outlive the engine in an
-  // external registry.
+  // external registry. (A later engine's collector has already replaced
+  // it there, if one started; that one stays.)
   Reg.removeCollector(CollectorToken);
 }
 
@@ -219,8 +220,11 @@ void Engine::registerInstruments() {
       "slade_engine_latency_seconds",
       "submit() to completion, OK requests only",
       obs::Histogram::defaultLatencyBounds(), 1, MaxLatencySamples);
-  CollectorToken =
-      Reg.addCollector([this](obs::MetricSink &Sink) { collectInto(Sink); });
+  // One key for every engine: a later engine's collector replaces this
+  // one, so a drained engine's families stop rendering beside its
+  // successor's.
+  CollectorToken = Reg.addCollector(
+      "serve::Engine", [this](obs::MetricSink &Sink) { collectInto(Sink); });
 }
 
 EngineMetrics Engine::totals() const {
@@ -335,9 +339,12 @@ ThreadPool &Engine::verifyPool() {
   return *Pool;
 }
 
-Handle Engine::submitImpl(DecompileRequest R,
-                          std::function<void(const RequestResult &)> OnDone,
-                          bool Block, bool *Accepted) {
+Handle Engine::submit(DecompileRequest R) {
+  return submit(std::move(R), nullptr);
+}
+
+Handle Engine::submit(DecompileRequest R,
+                      std::function<void(const RequestResult &)> OnDone) {
   Admission A;
   A.Req = std::move(R);
   A.OnDone = std::move(OnDone);
@@ -365,57 +372,20 @@ Handle Engine::submitImpl(DecompileRequest R,
   }
   // Shed pre-expired work at the door: no queue slot, no dispatch.
   if (A.SubmitTime >= A.Req.Deadline) {
-    if (Accepted)
-      *Accepted = true; // Resolved (typed), not silently dropped.
     completeEmpty(Completion::fromAdmission(std::move(A)),
                   RequestStatus::DeadlineExpired);
     return H;
   }
-  if (Block) {
-    bool Ok = Opts.BlockOnFull ? Queue.push(A) : Queue.tryPush(A);
-    if (!Ok) {
-      // Typed rejection — the promise RESOLVES (QueueFull under load
-      // shedding, ShuttingDown when the engine closed the queue), so no
-      // future from submit() ever carries broken_promise.
-      completeEmpty(Completion::fromAdmission(std::move(A)),
-                    Queue.closed() ? RequestStatus::ShuttingDown
-                                   : RequestStatus::QueueFull);
-    }
-    if (Accepted)
-      *Accepted = true;
-    return H;
-  }
-  // trySubmit: a rejected request is UNSUBMITTED (no typed resolution;
-  // the caller still owns the decision), so roll the count back.
-  bool Ok = Queue.tryPush(A);
-  if (Accepted)
-    *Accepted = Ok;
+  bool Ok = Opts.BlockOnFull ? Queue.push(A) : Queue.tryPush(A);
   if (!Ok) {
-    {
-      std::lock_guard<std::mutex> Lock(MetricsMu);
-      --Totals.Submitted;
-    }
-    DrainCv.notify_all(); // Re-check any drain() blocked on the count.
+    // Typed rejection — the promise RESOLVES (QueueFull under load
+    // shedding, ShuttingDown when the engine closed the queue), so no
+    // future from submit() ever carries broken_promise.
+    completeEmpty(Completion::fromAdmission(std::move(A)),
+                  Queue.closed() ? RequestStatus::ShuttingDown
+                                 : RequestStatus::QueueFull);
   }
   return H;
-}
-
-Handle Engine::submit(DecompileRequest R) {
-  return submitImpl(std::move(R), nullptr, /*Block=*/true, nullptr);
-}
-
-Handle Engine::submit(DecompileRequest R,
-                      std::function<void(const RequestResult &)> OnDone) {
-  return submitImpl(std::move(R), std::move(OnDone), /*Block=*/true,
-                    nullptr);
-}
-
-bool Engine::trySubmit(DecompileRequest R, Handle *Out) {
-  bool Accepted = false;
-  Handle H = submitImpl(std::move(R), nullptr, /*Block=*/false, &Accepted);
-  if (Accepted && Out)
-    *Out = std::move(H);
-  return Accepted;
 }
 
 void Engine::drain() {
@@ -680,8 +650,9 @@ void Engine::dispatchLoop() {
   nn::BeamConfig BC;
   BC.BeamSize = Opts.BeamSize;
   BC.MaxLen = Opts.MaxLen;
-  // Keying only (DecodeLRU): constrained and unconstrained results for
-  // the same source can never be served from each other's entries.
+  // Keying only (the decode LRU's BeamTag): constrained and
+  // unconstrained results for the same source can never be served from
+  // each other's entries.
   if (Opts.Constrain == nn::ConstrainMode::Syntax)
     BC.Constraint = &D.vocabConstraint();
   // The dispatcher's encode pool, same width as the shards' tick pools

@@ -148,7 +148,8 @@ struct EngineOptions {
   /// engine's destruction. It serves ONE live engine at a time (say,
   /// the next engine after a drain() hot swap): a later engine reuses
   /// the instrument families, or replaces a per-shard family whose
-  /// shard count differs (see obs::Registry).
+  /// shard count differs (see obs::Registry), and its collector replaces
+  /// the earlier engine's.
   obs::Registry *Metrics = nullptr;
 };
 
@@ -283,10 +284,6 @@ public:
   Handle submit(DecompileRequest R,
                 std::function<void(const RequestResult &)> OnDone);
 
-  /// Non-blocking submit: false (request untouched aside from move)
-  /// when the queue is full or the engine is stopped; nothing resolves.
-  bool trySubmit(DecompileRequest R, Handle *Out);
-
   /// Blocks until every request submitted so far has completed. The
   /// queue stays open; more requests may be submitted after.
   void drain();
@@ -336,9 +333,6 @@ private:
   void collectInto(obs::MetricSink &Sink) const;
   /// A copy of Totals, taken under MetricsMu.
   EngineMetrics totals() const;
-  Handle submitImpl(DecompileRequest R,
-                    std::function<void(const RequestResult &)> OnDone,
-                    bool Block, bool *Accepted);
   void shutdownImpl(std::chrono::steady_clock::time_point Deadline);
   /// The armed drain deadline (time_point::max() while fully open).
   std::chrono::steady_clock::time_point drainDeadline() const {

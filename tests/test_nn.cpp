@@ -17,6 +17,7 @@
 #include "nn/Mat.h"
 #include "nn/Parallel.h"
 #include "nn/SimdExp.h"
+#include "nn/SourceLRU.h"
 #include "nn/Transformer.h"
 #include "support/RNG.h"
 #include "tok/VocabConstraint.h"
@@ -24,10 +25,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 
 using namespace slade;
 using namespace slade::nn;
@@ -1241,6 +1244,195 @@ TEST(Transformer, StreamingAdmitRefusesMixedWeightVersions) {
             static_cast<size_t>(Model.config().Vocab));
 }
 
+// -- the per-source LRU policy, run against both caches ----------------------
+
+/// What the typed suite needs per cache: the policy base it derives
+/// from, distinct values of one byte size, and its distinct tags.
+template <typename CacheT> struct LRUKit;
+
+template <> struct LRUKit<EncoderLRU> {
+  using Policy = SourceLRU<Transformer::EncoderCache>;
+  static constexpr const char *Name = "EncoderLRU";
+  static Policy::Value value(int Seed) {
+    auto E = std::make_shared<Transformer::EncoderCache>();
+    E->EncOut.assign(16, static_cast<float>(Seed));
+    E->TSrc = 1;
+    return E;
+  }
+  static size_t bytes(const Policy::Value &V) { return V->bytes(); }
+  static std::vector<NoTag> tags() { return {NoTag()}; }
+};
+
+template <> struct LRUKit<DecodeLRU> {
+  using Policy = SourceLRU<std::vector<Hypothesis>, BeamTag>;
+  static constexpr const char *Name = "DecodeLRU";
+  static Policy::Value value(int Seed) {
+    auto H = std::make_shared<std::vector<Hypothesis>>(2);
+    (*H)[0] = {{3, 4, Seed}, -1.0f};
+    (*H)[1] = {{5, Seed}, -2.0f};
+    return H;
+  }
+  static size_t bytes(const Policy::Value &V) {
+    return DecodeLRU::bytesOf(*V);
+  }
+  static std::vector<BeamTag> tags() {
+    return {{5, 220, false}, {3, 220, false}, {5, 64, false},
+            {5, 220, true}};
+  }
+};
+
+struct LRUName {
+  template <typename CacheT> static std::string GetName(int) {
+    return LRUKit<CacheT>::Name;
+  }
+};
+
+template <typename CacheT> class SourceLRUPolicy : public ::testing::Test {
+protected:
+  using Kit = LRUKit<CacheT>;
+  using Policy = typename Kit::Policy;
+  using Value = typename Policy::Value;
+  using Tag = typename decltype(Kit::tags())::value_type;
+
+  /// Puts seed \p Seed's value under the key; returns the stored value.
+  static Value put(Policy &P, const std::vector<int> &Src, uint64_t Version,
+                   int Seed, const Tag &K = Kit::tags().front()) {
+    Value V = Kit::value(Seed);
+    return P.put(Src, Version, K, V, Kit::bytes(V));
+  }
+  static Value get(Policy &P, const std::vector<int> &Src, uint64_t Version,
+                   const Tag &K = Kit::tags().front()) {
+    return P.get(Src, Version, K);
+  }
+};
+
+using LRUCaches = ::testing::Types<EncoderLRU, DecodeLRU>;
+TYPED_TEST_SUITE(SourceLRUPolicy, LRUCaches, LRUName);
+
+TYPED_TEST(SourceLRUPolicy, CountBoundEvictsLeastRecentlyUsed) {
+  TypeParam Cache(/*Capacity=*/2);
+  this->put(Cache, {1}, 1, 1);
+  this->put(Cache, {2}, 1, 2);
+  EXPECT_NE(this->get(Cache, {1}, 1), nullptr); // Touch: {2} is now LRU.
+  this->put(Cache, {3}, 1, 3);
+  EXPECT_EQ(Cache.size(), 2u);
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_EQ(this->get(Cache, {2}, 1), nullptr) << "LRU victim";
+  EXPECT_NE(this->get(Cache, {1}, 1), nullptr) << "touched entry survives";
+  EXPECT_NE(this->get(Cache, {3}, 1), nullptr);
+}
+
+TYPED_TEST(SourceLRUPolicy, ByteBudgetKeepsTheNewestEntry) {
+  // Size one entry, then budget the cache below two entries' worth:
+  // every insert evicts the previous entry but is itself kept.
+  TypeParam Probe(4);
+  this->put(Probe, {1, 2, 3, 0}, 1, 0);
+  const size_t One = Probe.bytesUsed();
+  ASSERT_GT(One, 0u);
+  TypeParam Cache(/*Capacity=*/64, /*ByteBudget=*/One + One / 2);
+  for (int S = 0; S < 4; ++S)
+    this->put(Cache, {1, 2, 3, S}, 1, S);
+  EXPECT_EQ(Cache.size(), 1u) << "budget holds one same-sized entry";
+  EXPECT_EQ(Cache.stats().Evictions, 3u);
+  EXPECT_EQ(Cache.bytesUsed(), One);
+  EXPECT_NE(this->get(Cache, {1, 2, 3, 3}, 1), nullptr)
+      << "the newest entry always survives";
+
+  // One entry bigger than the whole budget: kept (a cache of one), not
+  // thrashed to an empty cache.
+  TypeParam Tiny(/*Capacity=*/8, /*ByteBudget=*/1);
+  auto Big = this->put(Tiny, {7}, 1, 7);
+  EXPECT_EQ(Tiny.size(), 1u);
+  EXPECT_EQ(this->get(Tiny, {7}, 1), Big);
+}
+
+TYPED_TEST(SourceLRUPolicy, WeightVersionAndTagArePartOfTheKey) {
+  TypeParam Cache(/*Capacity=*/8);
+  const auto Tags = TestFixture::Kit::tags();
+  std::vector<typename TestFixture::Value> Stored;
+  for (size_t T = 0; T < Tags.size(); ++T)
+    Stored.push_back(
+        this->put(Cache, {1, 2}, 7, static_cast<int>(T), Tags[T]));
+  EXPECT_EQ(Cache.size(), Tags.size()) << "one entry per tag";
+  for (size_t T = 0; T < Tags.size(); ++T)
+    EXPECT_EQ(this->get(Cache, {1, 2}, 7, Tags[T]), Stored[T])
+        << "tag " << T << " serves its own value";
+  EXPECT_EQ(this->get(Cache, {1, 2}, 8), nullptr) << "weight version keys";
+  EXPECT_EQ(this->get(Cache, {1, 2, 3}, 7), nullptr) << "source keys";
+  EXPECT_EQ(this->get(Cache, {1}, 7), nullptr) << "a prefix is not a match";
+}
+
+TYPED_TEST(SourceLRUPolicy, ReinsertKeepsTheResidentValue) {
+  TypeParam Cache(/*Capacity=*/2);
+  auto First = this->put(Cache, {4, 5}, 1, 1);
+  const size_t Bytes = Cache.bytesUsed();
+  EXPECT_EQ(this->put(Cache, {4, 5}, 1, 2), First)
+      << "put returns the resident value";
+  EXPECT_EQ(this->get(Cache, {4, 5}, 1), First);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.bytesUsed(), Bytes);
+  // The re-insert also refreshes recency.
+  this->put(Cache, {6}, 1, 6);
+  this->put(Cache, {4, 5}, 1, 3); // {6} is now LRU.
+  this->put(Cache, {7}, 1, 7);
+  EXPECT_EQ(this->get(Cache, {6}, 1), nullptr);
+  EXPECT_EQ(this->get(Cache, {4, 5}, 1), First);
+}
+
+TYPED_TEST(SourceLRUPolicy, ClearZeroesTheBytes) {
+  TypeParam Cache(/*Capacity=*/8);
+  this->put(Cache, {0}, 1, 0);
+  const size_t One = Cache.bytesUsed();
+  this->put(Cache, {1}, 1, 1);
+  this->put(Cache, {2}, 1, 2);
+  EXPECT_EQ(Cache.bytesUsed(), 3 * One) << "the sum over the entries";
+  Cache.clear();
+  EXPECT_EQ(Cache.bytesUsed(), 0u);
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(this->get(Cache, {0}, 1), nullptr);
+  this->put(Cache, {0}, 1, 0);
+  EXPECT_EQ(Cache.bytesUsed(), One);
+}
+
+TYPED_TEST(SourceLRUPolicy, ConcurrentGetAndPutOnOneCache) {
+  // Four threads race lookups and inserts over 12 keys on one cache that
+  // holds 4. Every lookup must end with the one value made for its key,
+  // and the accounting must add up afterwards.
+  constexpr int Keys = 12, Threads = 4, Rounds = 2000;
+  std::vector<typename TestFixture::Value> Values;
+  for (int K = 0; K < Keys; ++K)
+    Values.push_back(TestFixture::Kit::value(K));
+  const size_t ValueBytes = TestFixture::Kit::bytes(Values.front());
+  const auto Tag = TestFixture::Kit::tags().front();
+  TypeParam Cache(/*Capacity=*/4);
+  typename TestFixture::Policy &P = Cache;
+  std::atomic<int> Wrong{0};
+  std::vector<std::thread> Ts;
+  for (int W = 0; W < Threads; ++W)
+    Ts.emplace_back([&, W] {
+      for (int I = 0; I < Rounds; ++I) {
+        const int K = (I * 7 + W * 5) % Keys;
+        const size_t KI = static_cast<size_t>(K);
+        auto V = P.get({K}, 1, Tag);
+        if (!V)
+          V = P.put({K}, 1, Tag, Values[KI], ValueBytes);
+        if (V != Values[KI])
+          Wrong.fetch_add(1);
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  EXPECT_EQ(Wrong.load(), 0);
+  EXPECT_EQ(Cache.size(), 4u);
+  EXPECT_EQ(Cache.stats().Hits + Cache.stats().Misses,
+            static_cast<uint64_t>(Threads * Rounds));
+  TypeParam Probe(1);
+  this->put(Probe, {0}, 1, 0);
+  EXPECT_EQ(Cache.bytesUsed(), 4 * Probe.bytesUsed());
+}
+
+// -- the encoder LRU's get-or-encode -----------------------------------------
+
 TEST(EncoderLRU, HitsShareOneCacheAndEvictionKeepsResultsIdentical) {
   Transformer Model(tinyConfig());
   EncoderLRU Cache(/*Capacity=*/2);
@@ -1268,57 +1460,6 @@ TEST(EncoderLRU, HitsShareOneCacheAndEvictionKeepsResultsIdentical) {
     EXPECT_EQ(FromCache[I].Tokens, Fresh[I].Tokens);
     EXPECT_EQ(FromCache[I].Score, Fresh[I].Score);
   }
-}
-
-TEST(EncoderLRU, ByteBudgetEvictsAndAccountsPrecisely) {
-  Transformer Model(tinyConfig());
-  auto srcOf = [](int Seed) {
-    std::vector<int> Src;
-    for (int I = 0; I < 8; ++I)
-      Src.push_back(3 + (Seed * 13 + I) % 30);
-    return Src;
-  };
-  // Size one entry, then budget the cache at two entries' worth.
-  size_t One = Model.encodeSource(srcOf(0))->bytes() +
-               srcOf(0).capacity() * sizeof(int);
-  EncoderLRU Cache(/*Capacity=*/64, /*ByteBudget=*/2 * One + One / 2);
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-
-  for (int S = 0; S < 5; ++S)
-    Cache.get(Model, srcOf(S));
-  EXPECT_GE(Cache.stats().Evictions, 3u) << "budget must evict";
-  EXPECT_LE(Cache.bytesUsed(), Cache.byteBudget());
-  EXPECT_EQ(Cache.size(), 2u) << "two same-sized entries fit the budget";
-
-  // Accounting must track eviction exactly: bytesUsed is the sum over
-  // the live entries, and clear() returns to zero.
-  size_t Live = Cache.bytesUsed();
-  EXPECT_GT(Live, 0u);
-  // An evicted source re-encodes and yields identical decode results.
-  BeamConfig BC;
-  BC.BeamSize = 2;
-  BC.MaxLen = 8;
-  auto FromCache = beamSearch(Model, Cache.get(Model, srcOf(0)), BC);
-  auto Fresh = beamSearch(Model, srcOf(0), BC);
-  ASSERT_EQ(FromCache.size(), Fresh.size());
-  for (size_t I = 0; I < Fresh.size(); ++I) {
-    EXPECT_EQ(FromCache[I].Tokens, Fresh[I].Tokens);
-    EXPECT_EQ(FromCache[I].Score, Fresh[I].Score);
-  }
-  Cache.clear();
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-}
-
-TEST(EncoderLRU, OversizedSingleEntrySurvivesBudget) {
-  // One source bigger than the whole budget: the fresh entry is kept (a
-  // degenerate cache of one) instead of thrashing to an empty cache.
-  Transformer Model(tinyConfig());
-  std::vector<int> Src = {4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
-  EncoderLRU Cache(/*Capacity=*/8, /*ByteBudget=*/1);
-  auto First = Cache.get(Model, Src);
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.get(Model, Src).get(), First.get())
-      << "the oversized entry still serves hits";
 }
 
 TEST(EncoderLRU, StatsTrackColdEncodeSeconds) {
@@ -1360,8 +1501,7 @@ TEST(DecodeLRU, KeyedBySourceVersionAndBeamConfig) {
   BeamConfig BC;
   BC.BeamSize = 2;
   BC.MaxLen = 16;
-  auto H = hypsOf({3, 4, 5});
-  Cache.put({1, 2}, /*Version=*/7, BC, H);
+  Cache.put({1, 2}, /*Version=*/7, BC, hypsOf({3, 4, 5}));
   auto Hit = Cache.get({1, 2}, 7, BC);
   ASSERT_NE(Hit, nullptr);
   ASSERT_EQ(Hit->size(), 1u);
@@ -1375,58 +1515,21 @@ TEST(DecodeLRU, KeyedBySourceVersionAndBeamConfig) {
   BeamConfig Longer = BC;
   Longer.MaxLen = 32;
   EXPECT_EQ(Cache.get({1, 2}, 7, Longer), nullptr) << "MaxLen keys";
-  BeamConfig Penalized = BC;
-  Penalized.LengthPenalty = 0.5f;
-  EXPECT_EQ(Cache.get({1, 2}, 7, Penalized), nullptr)
-      << "length penalty keys";
+  BeamTag Constrained = DecodeLRU::tagOf(BC);
+  Constrained.Constrained = true;
+  EXPECT_FALSE(Constrained == DecodeLRU::tagOf(BC)) << "constraint keys";
   DecodeLRU::Stats St = Cache.stats();
   EXPECT_EQ(St.Hits, 1u);
-  EXPECT_EQ(St.Misses, 5u);
-  EXPECT_EQ(St.Insertions, 1u);
-  // Re-inserting an existing key refreshes instead of duplicating.
-  Cache.put({1, 2}, 7, BC, hypsOf({9}));
-  EXPECT_EQ(Cache.size(), 1u);
-  auto Kept = Cache.get({1, 2}, 7, BC);
-  ASSERT_NE(Kept, nullptr);
-  EXPECT_EQ(Kept->front().Tokens, std::vector<int>({3, 4, 5}))
-      << "the original entry is kept (identical by determinism)";
+  EXPECT_EQ(St.Misses, 4u);
 }
 
-TEST(DecodeLRU, PrefixDeltaCompressionRoundTrips) {
-  DecodeLRU Cache(/*Capacity=*/8);
+TEST(DecodeLRU, HitReturnsTheObjectPutStored) {
+  DecodeLRU Cache;
   BeamConfig BC;
-  BC.BeamSize = 4;
-  // Four hypotheses forking from one 96-token prefix near the end —
-  // the shape a real beam retires with.
-  auto Hyps = std::make_shared<std::vector<Hypothesis>>();
-  std::vector<int> Prefix(96);
-  for (size_t I = 0; I < Prefix.size(); ++I)
-    Prefix[I] = static_cast<int>(3 + I % 40);
-  for (int K = 0; K < 4; ++K) {
-    Hypothesis H;
-    H.Tokens = Prefix;
-    if (K > 0) { // Top-1 keeps the bare prefix; others diverge.
-      H.Tokens.resize(Prefix.size() - static_cast<size_t>(K));
-      for (int S = 0; S <= K; ++S)
-        H.Tokens.push_back(100 + 10 * K + S);
-    }
-    H.Score = -0.5f * static_cast<float>(K);
-    Hyps->push_back(std::move(H));
-  }
-  size_t RawTokenBytes = 0;
-  for (const Hypothesis &H : *Hyps)
-    RawTokenBytes += H.Tokens.size() * sizeof(int);
-  Cache.put({1, 2, 3}, 1, BC, Hyps);
-  auto Hit = Cache.get({1, 2, 3}, 1, BC);
-  ASSERT_NE(Hit, nullptr);
-  ASSERT_EQ(Hit->size(), Hyps->size());
-  for (size_t I = 0; I < Hyps->size(); ++I) {
-    EXPECT_EQ((*Hit)[I].Tokens, (*Hyps)[I].Tokens) << "hypothesis " << I;
-    EXPECT_EQ((*Hit)[I].Score, (*Hyps)[I].Score) << "hypothesis " << I;
-  }
-  EXPECT_LT(Cache.bytesUsed(), RawTokenBytes)
-      << "compressed entry (top-1 + deltas) must undercut even the raw "
-         "token payload of the four hypotheses";
+  auto Hyps = hypsOf({3, 4, 5});
+  Cache.put({1, 2}, 1, BC, Hyps);
+  EXPECT_EQ(Cache.get({1, 2}, 1, BC), Hyps) << "stored whole, not copied";
+  EXPECT_EQ(Cache.get({1, 2}, 1, BC), Hyps) << "every hit shares it";
 }
 
 TEST(DecodeLRU, EmptyAndDisjointResultsRoundTrip) {
@@ -1437,7 +1540,7 @@ TEST(DecodeLRU, EmptyAndDisjointResultsRoundTrip) {
   auto Empty = Cache.get({5}, 1, BC);
   ASSERT_NE(Empty, nullptr);
   EXPECT_TRUE(Empty->empty());
-  // Hypotheses sharing NO prefix (delta degenerates to a full copy).
+  // Hypotheses sharing no prefix.
   auto Hyps = std::make_shared<std::vector<Hypothesis>>();
   Hyps->push_back({{10, 11, 12}, -1.0f});
   Hyps->push_back({{20, 21}, -2.0f});
@@ -1448,41 +1551,6 @@ TEST(DecodeLRU, EmptyAndDisjointResultsRoundTrip) {
   EXPECT_EQ((*Hit)[0].Tokens, std::vector<int>({10, 11, 12}));
   EXPECT_EQ((*Hit)[1].Tokens, std::vector<int>({20, 21}));
   EXPECT_EQ((*Hit)[1].Score, -2.0f);
-}
-
-TEST(DecodeLRU, CountBoundEvictsLeastRecentlyUsed) {
-  DecodeLRU Cache(/*Capacity=*/2);
-  BeamConfig BC;
-  Cache.put({1}, 1, BC, hypsOf({10}));
-  Cache.put({2}, 1, BC, hypsOf({20}));
-  EXPECT_NE(Cache.get({1}, 1, BC), nullptr); // Touch: {2} becomes LRU.
-  Cache.put({3}, 1, BC, hypsOf({30}));
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.stats().Evictions, 1u);
-  EXPECT_EQ(Cache.get({2}, 1, BC), nullptr) << "LRU victim";
-  EXPECT_NE(Cache.get({1}, 1, BC), nullptr) << "touched entry survives";
-  EXPECT_NE(Cache.get({3}, 1, BC), nullptr);
-}
-
-TEST(DecodeLRU, ByteBudgetEvictsButKeepsNewest) {
-  BeamConfig BC;
-  // Size one entry, then budget the cache below two entries' worth:
-  // every insert evicts the previous entry but is itself kept.
-  DecodeLRU Probe(4);
-  Probe.put({1, 2, 3, 4}, 1, BC, hypsOf({5, 6, 7, 8, 9, 10}));
-  size_t One = Probe.bytesUsed();
-  ASSERT_GT(One, 0u);
-  DecodeLRU Cache(/*Capacity=*/64, /*ByteBudget=*/One + One / 2);
-  for (int S = 0; S < 4; ++S)
-    Cache.put({1, 2, 3, S}, 1, BC, hypsOf({5, 6, 7, 8, 9, 10}));
-  EXPECT_EQ(Cache.size(), 1u) << "budget holds one same-sized entry";
-  EXPECT_EQ(Cache.stats().Evictions, 3u);
-  EXPECT_LE(Cache.bytesUsed(), Cache.byteBudget());
-  EXPECT_NE(Cache.get({1, 2, 3, 3}, 1, BC), nullptr)
-      << "the newest entry always survives";
-  Cache.clear();
-  EXPECT_EQ(Cache.bytesUsed(), 0u);
-  EXPECT_EQ(Cache.size(), 0u);
 }
 
 TEST(Transformer, BeamReturnsSortedHypotheses) {

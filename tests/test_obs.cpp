@@ -72,10 +72,6 @@ TEST(ObsMetrics, CountersAggregateAcrossCellsAndWriters) {
   F.add(1, 0.5);
   EXPECT_DOUBLE_EQ(F.value(), 0.75);
 
-  obs::Gauge &G = Reg.gauge("t_gauge", "test");
-  G.set(7);
-  EXPECT_DOUBLE_EQ(G.value(), 7.0);
-
   // Idempotent registration: same name -> same instrument.
   EXPECT_EQ(&Reg.counter("t_total", "test", 4), &C);
 }
@@ -197,14 +193,14 @@ TEST(ObsMetrics, RegistryRendersLintablePrometheusText) {
                                 "Requests by shard.", 2);
   C.add(0, 3);
   C.add(1, 4);
-  Reg.gauge("app_live", "Live now.").set(2);
   obs::Histogram &H =
       Reg.histogram("app_latency_seconds", "Latency.", {0.1, 1.0});
   H.observe(0, 0.05);
   H.observe(0, 3.0);
-  uint64_t Tok = Reg.addCollector([](obs::MetricSink &Sink) {
+  uint64_t Tok = Reg.addCollector("app", [](obs::MetricSink &Sink) {
     Sink.counter("app_outcome_total", "Outcomes.", "status=\"ok\"", 5);
     Sink.counter("app_outcome_total", "Outcomes.", "status=\"shed\"", 2);
+    Sink.gauge("app_live", "Live now.", "", 2);
   });
 
   std::ostringstream SS;
@@ -220,10 +216,27 @@ TEST(ObsMetrics, RegistryRendersLintablePrometheusText) {
   EXPECT_NE(Text.find("app_outcome_total{status=\"ok\"} 5"),
             std::string::npos)
       << Text;
+  EXPECT_NE(Text.find("# TYPE app_live gauge\napp_live 2\n"),
+            std::string::npos)
+      << Text;
+
+  // A collector added under the same key replaces the first, and the
+  // first one's token then removes nothing.
+  uint64_t Tok2 = Reg.addCollector("app", [](obs::MetricSink &Sink) {
+    Sink.gauge("app_live", "Live now.", "", 3);
+  });
   Reg.removeCollector(Tok);
   std::ostringstream SS2;
   Reg.renderPrometheus(SS2);
+  lintPrometheus(SS2.str());
   EXPECT_EQ(SS2.str().find("app_outcome_total"), std::string::npos)
+      << SS2.str();
+  EXPECT_NE(SS2.str().find("app_live 3\n"), std::string::npos)
+      << "the replacement stays\n" << SS2.str();
+  Reg.removeCollector(Tok2);
+  std::ostringstream SS3;
+  Reg.renderPrometheus(SS3);
+  EXPECT_EQ(SS3.str().find("app_live"), std::string::npos)
       << "collector must unregister";
 }
 

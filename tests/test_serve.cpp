@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -181,12 +182,13 @@ TEST(AdmissionQueue, EarliestDeadlineFirstWithFifoTiebreak) {
 
   const char *Expect[] = {"d50",         "d100-first",  "d100-second",
                           "d200",        "late-fifo-1", "late-fifo-2"};
+  Q.close(); // pop() then drains what is queued and returns false.
   serve::Admission Out;
   for (const char *Name : Expect) {
-    ASSERT_TRUE(Q.tryPop(&Out));
+    ASSERT_TRUE(Q.pop(&Out));
     EXPECT_EQ(Out.Req.Name, Name);
   }
-  EXPECT_FALSE(Q.tryPop(&Out));
+  EXPECT_FALSE(Q.pop(&Out));
 }
 
 TEST(AdmissionQueue, CloseWakesEveryBlockedProducer) {
@@ -841,6 +843,10 @@ TEST(Engine, DeadlineExpiringBetweenDispatchAndAdmissionIsShed) {
   EO.MaxLiveSources = 1;
   EO.Shards = 1;
   EO.UseDecodeCache = false;
+  // Every tick sleeps 2 ms, so the blocker still holds the row after the
+  // 5 ms below on any host: unslowed, this tiny model's decode can end
+  // sooner, and the victim would then be admitted at once.
+  EO.Faults.SlowTick = 1;
   serve::Engine Eng(*F.Slade, EO);
 
   serve::Handle Blocker =
@@ -1310,7 +1316,8 @@ TEST(Engine, LaterEngineWithMoreShardsOnOneRegistry) {
   // drain() is the weight-hot-swap primitive, and the next engine on the
   // same registry may run more shards: it gets per-shard families of its
   // own width, while the drained engine keeps reading the cells it
-  // wrote.
+  // wrote. Its collector replaces the drained engine's, so the
+  // exposition renders each sample once.
   ServeFixture F(5);
   ASSERT_GE(F.Tasks.size(), 4u);
   obs::Registry Reg;
@@ -1350,6 +1357,21 @@ TEST(Engine, LaterEngineWithMoreShardsOnOneRegistry) {
   serve::EngineMetrics Old = First.metrics();
   ASSERT_EQ(Old.Shards.size(), 1u);
   EXPECT_EQ(Old.Shards[0].Sources, 1u);
+
+  // Both engines are alive here: only the later one's totals render.
+  std::ostringstream SS;
+  Reg.renderPrometheus(SS);
+  const std::string Text = SS.str();
+  std::set<std::string> Samples;
+  std::istringstream In(Text);
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.empty() || Line[0] == '#')
+      continue;
+    EXPECT_TRUE(Samples.insert(Line.substr(0, Line.rfind(' '))).second)
+        << "duplicate sample: " << Line;
+  }
+  EXPECT_EQ(promSample(Text, "slade_engine_requests_submitted_total"),
+            static_cast<double>(F.Tasks.size()));
 }
 
 } // namespace

@@ -811,9 +811,7 @@ int main(int argc, char **argv) {
   // -- model ------------------------------------------------------------------
   core::TrainedSystem Sys = loadOrTrain(O);
   core::Decompiler Slade(std::move(Sys.Tok), std::move(Sys.Model),
-                         /*EncoderCacheCap=*/64,
                          static_cast<size_t>(O.EncCacheMb) << 20,
-                         /*DecodeCacheCap=*/256,
                          static_cast<size_t>(O.DecCacheMb) << 20);
 
   // -- observability ----------------------------------------------------------
