@@ -81,6 +81,38 @@ void BM_InterpreterRun(benchmark::State &State) {
 }
 BENCHMARK(BM_InterpreterRun);
 
+/// Verifying a wrong candidate (`sum` off by one, so it differs on the
+/// first test input) against `sum`'s reference profile: all inputs then
+/// profilesEquivalent (`full`), or vm::matchesProfile, which stops at the
+/// first differing input (`early_exit`).
+void BM_VerifyFirstInputDiffers(benchmark::State &State, bool EarlyExit) {
+  auto Ref = core::compileProgram(SumSrc, "", "sum", asmx::Dialect::X86,
+                                  false);
+  auto Cand = core::compileProgram(
+      "int sum(int *arr, int n) {\n  int total = 1;\n"
+      "  for (int i = 0; i < n; i++) {\n    total += arr[i];\n  }\n"
+      "  return total;\n}\n",
+      "", "sum", asmx::Dialect::X86, false);
+  vm::HarnessConfig HC;
+  vm::TestProfile RefProfile = vm::runProfile(
+      Ref->Image, *Ref->Target, Ref->Globals, asmx::Dialect::X86, HC);
+  for (auto _ : State) {
+    bool Match =
+        EarlyExit
+            ? vm::matchesProfile(RefProfile, Cand->Image, *Ref->Target,
+                                 Ref->Globals, asmx::Dialect::X86, HC)
+            : vm::profilesEquivalent(
+                  RefProfile,
+                  vm::runProfile(Cand->Image, *Ref->Target, Ref->Globals,
+                                 asmx::Dialect::X86, HC));
+    if (Match)
+      State.SkipWithError("the candidate must differ");
+    benchmark::DoNotOptimize(Match);
+  }
+}
+BENCHMARK_CAPTURE(BM_VerifyFirstInputDiffers, full, false);
+BENCHMARK_CAPTURE(BM_VerifyFirstInputDiffers, early_exit, true);
+
 void BM_TokenizerEncode(benchmark::State &State) {
   std::vector<std::string> Texts(20, SumSrc);
   tok::Tokenizer::Config TC;

@@ -19,13 +19,14 @@ using Clock = std::chrono::steady_clock;
 
 /// One staged candidate evaluation with cooperative deadline checks
 /// between stages (type inference -> compile -> VM run). With Deadline =
-/// max() the checks never fire and the path is the historical
-/// evaluateHypothesis, byte for byte.
+/// max() the checks never fire. EditSim is left 0: a selection scores
+/// only the outcome it returns (scoreEditSimilarity).
 HypothesisOutcome evaluateStaged(const EvalTask &Task,
                                  const std::string &HypothesisSource,
                                  bool UseTypeInference,
-                                 Clock::time_point Deadline,
-                                 bool *TimedOut) {
+                                 Clock::time_point Deadline =
+                                     Clock::time_point::max(),
+                                 bool *TimedOut = nullptr) {
   auto Expired = [Deadline] {
     return Deadline != Clock::time_point::max() &&
            Clock::now() >= Deadline;
@@ -35,7 +36,6 @@ HypothesisOutcome evaluateStaged(const EvalTask &Task,
   Out.Produced = !HypothesisSource.empty();
   if (!Out.Produced)
     return Out;
-  Out.EditSim = editSimilarity(HypothesisSource, Task.FunctionSource);
 
   std::string Prelude;
   if (UseTypeInference) {
@@ -72,21 +72,27 @@ HypothesisOutcome evaluateStaged(const EvalTask &Task,
     return Out;
   }
 
-  vm::HarnessConfig HC;
-  vm::TestProfile Profile =
-      vm::runProfile(Compiled->Image, *Task.Prog.Target, Task.Prog.Globals,
-                     Task.D, HC);
-  Out.IOCorrect = vm::profilesEquivalent(Task.RefProfile, Profile);
+  Out.IOCorrect = vm::matchesProfile(Task.RefProfile, Compiled->Image,
+                                     *Task.Prog.Target, Task.Prog.Globals,
+                                     Task.D, vm::HarnessConfig());
   return Out;
 }
 
 } // namespace
 
+void slade::core::scoreEditSimilarity(const EvalTask &Task,
+                                      HypothesisOutcome &Out) {
+  if (Out.Produced)
+    Out.EditSim = editSimilarity(Out.CSource, Task.FunctionSource);
+}
+
 HypothesisOutcome slade::core::evaluateHypothesis(
     const EvalTask &Task, const std::string &HypothesisSource,
     bool UseTypeInference) {
-  return evaluateStaged(Task, HypothesisSource, UseTypeInference,
-                        Clock::time_point::max(), nullptr);
+  HypothesisOutcome Out =
+      evaluateStaged(Task, HypothesisSource, UseTypeInference);
+  scoreEditSimilarity(Task, Out);
+  return Out;
 }
 
 HypothesisOutcome slade::core::evaluateHypothesisBounded(
@@ -204,37 +210,36 @@ HypothesisOutcome Decompiler::decompile(const EvalTask &Task,
   Workers = std::min<unsigned>(Workers,
                                static_cast<unsigned>(Opts.BeamSize));
 
+  // Candidates are evaluated unscored; only the returned one is scored.
+  HypothesisOutcome Picked;
   if (Workers <= 1 || Hyps.size() == 1) {
-    // Sequential fallback keeps the early exit on the first IO pass.
-    HypothesisOutcome First;
-    bool HaveFirst = false;
-    for (const nn::Hypothesis &H : Hyps) {
-      std::string CSource = Tok.decode(H.Tokens);
-      HypothesisOutcome Out =
-          evaluateHypothesis(Task, CSource, Opts.UseTypeInference);
-      if (!HaveFirst) {
-        First = Out;
-        HaveFirst = true;
-      }
-      if (Out.IOCorrect)
-        return Out; // First candidate passing the IO tests (§VI-A).
+    // Sequential fallback keeps the early exit on the first IO pass: the
+    // first candidate passing the IO tests (§VI-A), else the top one.
+    for (size_t I = 0; I < Hyps.size() && !Picked.IOCorrect; ++I) {
+      HypothesisOutcome Out = evaluateStaged(
+          Task, Tok.decode(Hyps[I].Tokens), Opts.UseTypeInference);
+      if (I == 0 || Out.IOCorrect)
+        Picked = std::move(Out);
     }
-    return First; // None passed: report the top beam candidate.
+  } else {
+    // Verify all k candidates concurrently; the selection rule is
+    // unchanged (first IO-passing candidate in beam order, else the top
+    // candidate).
+    std::vector<HypothesisOutcome> Outcomes(Hyps.size());
+    {
+      std::lock_guard<std::mutex> Lock(VerifyMu);
+      if (!VerifyPool || VerifyPool->workerCount() != Workers)
+        VerifyPool = std::make_unique<ThreadPool>(Workers);
+      VerifyPool->parallelFor(Hyps.size(), [&](size_t I) {
+        Outcomes[I] = evaluateStaged(Task, Tok.decode(Hyps[I].Tokens),
+                                     Opts.UseTypeInference);
+      });
+    }
+    auto Pass = std::find_if(
+        Outcomes.begin(), Outcomes.end(),
+        [](const HypothesisOutcome &Out) { return Out.IOCorrect; });
+    Picked = std::move(Pass != Outcomes.end() ? *Pass : Outcomes.front());
   }
-
-  // Verify all k candidates concurrently; the selection rule is unchanged
-  // (first IO-passing candidate in beam order, else the top candidate).
-  std::vector<HypothesisOutcome> Outcomes(Hyps.size());
-  std::lock_guard<std::mutex> Lock(VerifyMu);
-  if (!VerifyPool || VerifyPool->workerCount() != Workers)
-    VerifyPool = std::make_unique<ThreadPool>(Workers);
-  ThreadPool &Pool = *VerifyPool;
-  Pool.parallelFor(Hyps.size(), [&](size_t I) {
-    std::string CSource = Tok.decode(Hyps[I].Tokens);
-    Outcomes[I] = evaluateHypothesis(Task, CSource, Opts.UseTypeInference);
-  });
-  for (const HypothesisOutcome &Out : Outcomes)
-    if (Out.IOCorrect)
-      return Out;
-  return Outcomes.front();
+  scoreEditSimilarity(Task, Picked);
+  return Picked;
 }

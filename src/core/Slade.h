@@ -53,10 +53,18 @@ struct HypothesisOutcome {
 };
 
 /// Recompiles \p HypothesisSource into the task's context and runs the IO
-/// tests. This is the shared evaluation path for every tool.
+/// tests, stopping at the first input whose result differs from the
+/// task's reference (vm::matchesProfile), then scores its edit
+/// similarity. This is the shared evaluation path for every tool.
 HypothesisOutcome evaluateHypothesis(const EvalTask &Task,
                                      const std::string &HypothesisSource,
                                      bool UseTypeInference);
+
+/// Sets \p Out.EditSim to the edit similarity of its C to the task's
+/// ground truth; an outcome that produced nothing keeps 0. Selections
+/// over k candidates (Decompiler::decompile, the serve engine) evaluate
+/// the candidates unscored and score only the outcome they return.
+void scoreEditSimilarity(const EvalTask &Task, HypothesisOutcome &Out);
 
 /// Bounds on one candidate's evaluation (the serve engine's verify
 /// containment knobs). Timeouts are COOPERATIVE: C++ threads cannot be
@@ -105,7 +113,10 @@ struct VerifyAttemptStats {
 /// timeout, bounded retry-with-backoff for thrown (transient) failures,
 /// and no exception ever escapes — a candidate that faults past its
 /// retry budget returns a non-compiling outcome with \p Stats->Faulted
-/// set. With default limits, byte-identical to evaluateHypothesis.
+/// set. The outcome is NOT scored (EditSim is 0): the caller scores the
+/// one outcome it keeps with scoreEditSimilarity, unless that candidate
+/// faulted out, whose EditSim stays 0. With default limits and after
+/// scoring, byte-identical to evaluateHypothesis.
 HypothesisOutcome evaluateHypothesisBounded(const EvalTask &Task,
                                             const std::string &HypothesisSource,
                                             bool UseTypeInference,

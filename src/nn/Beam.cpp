@@ -86,13 +86,32 @@ double expSumIds(const float *Row, const std::vector<uint16_t> &Ids,
   return laneTotal(L);
 }
 
+/// max(-1e30f, Row[0], ..., Row[V - 1]) by a std::max chain; a NaN entry
+/// never replaces the running maximum.
+float rowMax(const float *Row, int V) {
+  float MaxV = -1e30f;
+  int I = 0;
+#if SLADE_SIMD_EXP
+  // _mm256_max_ps(X, M) is X > M ? X : M, which is std::max(M, X) lane by
+  // lane: the same NaN and equal-value (signed zero) choice as the chain,
+  // so no lane is ever NaN. Only which of +0 and -0 wins a tie across
+  // lanes can differ from the chain, and both give the same shifted exps
+  // (exp(-0) = exp(+0) = 1) and the same log-normaliser.
+  __m256 M = _mm256_set1_ps(MaxV);
+  for (; I + 8 <= V; I += 8)
+    M = _mm256_max_ps(_mm256_loadu_ps(Row + I), M);
+  MaxV = hmax256(M);
+#endif
+  for (; I < V; ++I)
+    MaxV = std::max(MaxV, Row[I]);
+  return MaxV;
+}
+
 } // namespace
 
 void slade::nn::beamcore::logSoftmax(const float *Logits, int V,
                                      std::vector<float> &Out) {
-  float MaxV = -1e30f;
-  for (int I = 0; I < V; ++I)
-    MaxV = std::max(MaxV, Logits[I]);
+  float MaxV = rowMax(Logits, V);
   float LogZ =
       MaxV + static_cast<float>(std::log(expSumRow(Logits, V, MaxV)));
   Out.resize(static_cast<size_t>(V));

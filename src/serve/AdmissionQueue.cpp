@@ -104,11 +104,16 @@ ShardRouter::ShardRouter(int Shards, int SourcesPerShard)
     : Assigned(static_cast<size_t>(Shards > 0 ? Shards : 1), 0),
       PerShard(SourcesPerShard > 0 ? SourcesPerShard : 1) {}
 
-int ShardRouter::placeBlocking() {
+int ShardRouter::placeBlocking(
+    std::chrono::steady_clock::time_point Deadline) {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
-    if (std::chrono::steady_clock::now() >= ShutdownAt)
-      return -1; // Draining: stop placing, shed instead.
+    // Draining (stop placing, shed instead) or the request expired
+    // while it waited for capacity.
+    std::chrono::steady_clock::time_point Until =
+        std::min(ShutdownAt, Deadline);
+    if (std::chrono::steady_clock::now() >= Until)
+      return -1;
     // Least-loaded shard with a free slot; ties go to the lowest id so
     // placement is deterministic for a given load picture.
     int Best = -1;
@@ -120,12 +125,12 @@ int ShardRouter::placeBlocking() {
       ++Assigned[static_cast<size_t>(Best)];
       return Best;
     }
-    // Saturated: wait for a retirement (backfill wakes us) or the drain
-    // deadline, whichever comes first.
-    if (ShutdownAt == std::chrono::steady_clock::time_point::max())
+    // Saturated: wait for a retirement (backfill wakes us), the drain
+    // deadline or the request's deadline, whichever comes first.
+    if (Until == std::chrono::steady_clock::time_point::max())
       Capacity.wait(Lock);
     else
-      Capacity.wait_until(Lock, ShutdownAt);
+      Capacity.wait_until(Lock, Until);
   }
 }
 

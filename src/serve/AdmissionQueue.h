@@ -206,10 +206,14 @@ public:
   /// Reserves a source slot on the least-loaded shard, blocking while
   /// every shard is saturated (woken by retire() — retirement backfill).
   /// Returns the chosen shard id, or -1 once the shutdownAt() deadline
-  /// has passed (drain: the dispatcher must stop waiting for capacity
-  /// and resolve the request as ShuttingDown instead of deadlocking
-  /// against shards that are force-aborting their rows).
-  int placeBlocking();
+  /// or the request's own \p Deadline has passed with no slot free. On
+  /// drain the dispatcher must stop waiting for capacity and resolve the
+  /// request as ShuttingDown instead of deadlocking against shards that
+  /// are force-aborting their rows; an expired request resolves
+  /// DeadlineExpired at its deadline instead of holding up every request
+  /// queued behind it until some row retires. A cancel does not wake
+  /// the wait: it is seen at the next wake (a retirement or a deadline).
+  int placeBlocking(std::chrono::steady_clock::time_point Deadline);
   /// Arms the drain deadline: placeBlocking() calls at or after \p D
   /// fail fast with -1, and a placement already blocked on capacity is
   /// woken at \p D. Idempotent; earlier deadlines win.

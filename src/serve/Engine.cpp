@@ -523,9 +523,10 @@ void Engine::completeOne(
     obs::TraceRecorder &TR = obs::trace();
     obs::ScopedSpan VerifySpan(TR, obs::SpanKind::Verify, Shared->Seq,
                                Shared->Traced);
-    core::HypothesisOutcome First, Picked;
-    bool HaveFirst = false, Passed = false, Degraded = false,
-         AnyFaulted = false;
+    // Candidates come back unscored; the one kept is scored below.
+    core::HypothesisOutcome Kept;
+    bool Passed = false, Degraded = false, AnyFaulted = false,
+         KeptFaulted = false;
     int Cand = 0;
     for (const nn::Hypothesis &H : *Hyps) {
       // Between-candidate cancellation point: cancel, request deadline,
@@ -586,12 +587,13 @@ void Engine::completeOne(
       if (AS.Faulted || AS.TimedOut)
         Degraded = true; // This candidate gave up: selection may shift.
       AnyFaulted = AnyFaulted || AS.Faulted;
-      if (!HaveFirst) {
-        First = O;
-        HaveFirst = true;
+      // Keep the first candidate passing the IO tests (§VI-A), else the
+      // first candidate.
+      if (Cand == 0 || O.IOCorrect) {
+        Kept = std::move(O);
+        KeptFaulted = AS.Faulted;
       }
-      if (O.IOCorrect) {
-        Picked = O; // First candidate passing the IO tests (§VI-A).
+      if (Kept.IOCorrect) {
         Passed = true;
         break;
       }
@@ -599,7 +601,10 @@ void Engine::completeOne(
     }
     RequestResult Res;
     Res.Name = Shared->Name;
-    Res.Outcome = Passed ? Picked : First;
+    Res.Outcome = std::move(Kept);
+    // A candidate that faulted out was never measured: EditSim stays 0.
+    if (!KeptFaulted)
+      core::scoreEditSimilarity(*Shared->Task, Res.Outcome);
     Res.CSource = Res.Outcome.CSource;
     Res.Verified = true;
     Res.Degraded = Degraded;
@@ -736,22 +741,27 @@ void Engine::dispatchLoop() {
       continue;
     }
     // Fresh source: reserve a slot on the least-loaded shard (blocking
-    // while all shards are full — retirement backfill wakes us; a drain
-    // deadline unblocks with -1), THEN encode, so the reservation is
-    // cheap and the encode overlaps the shards' ticks.
-    int SI = Router.placeBlocking();
-    if (SI < 0) { // Draining: stop placing, shed the rest.
+    // while all shards are full — retirement backfill wakes us; the drain
+    // deadline or the request's own deadline unblocks with -1), THEN
+    // encode, so the reservation is cheap and the encode overlaps the
+    // shards' ticks.
+    int SI = Router.placeBlocking(C.Deadline);
+    if (SI < 0 && Clock::now() >= drainDeadline()) {
+      // Draining: stop placing, shed the rest.
       completeEmpty(std::move(C), RequestStatus::ShuttingDown);
       continue;
     }
     // The wait for capacity may have been long: re-check before paying
-    // for the encode, releasing the just-reserved slot on shed.
+    // for the encode, releasing the just-reserved slot on shed. With no
+    // slot (SI < 0), the request's deadline has passed.
     Dead = C.deadStatus(Clock::now());
     if (Dead != RequestStatus::Ok) {
-      Router.retire(std::string(), SI);
+      if (SI >= 0)
+        Router.retire(std::string(), SI);
       completeEmpty(std::move(C), Dead);
       continue;
     }
+    assert(SI >= 0 && "placement fails only past a deadline");
     auto T0 = Clock::now();
     obs::ScopedSpan EncodeSpan(TR, obs::SpanKind::Encode, C.Seq, C.Traced);
     std::shared_ptr<const nn::Transformer::EncoderCache> Enc;

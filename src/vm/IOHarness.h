@@ -62,6 +62,17 @@ TestProfile runProfile(const std::vector<asmx::AsmFunction> &Image,
 /// with 1e-6 relative tolerance; timeouts never compare equal).
 bool profilesEquivalent(const TestProfile &A, const TestProfile &B);
 
+/// profilesEquivalent(Ref, runProfile(Image, Sig, Globals, D, Cfg)),
+/// computed lazily: the test inputs run in order and the first one whose
+/// result differs from \p Ref's stops the run, so a candidate that fails
+/// its first input (or loops forever on it) costs one simulated call.
+/// False when \p Ref holds a different number of tests than \p Cfg runs.
+bool matchesProfile(const TestProfile &Ref,
+                    const std::vector<asmx::AsmFunction> &Image,
+                    const cc::FunctionDecl &Sig,
+                    const std::vector<GlobalSpec> &Globals,
+                    asmx::Dialect D, const HarnessConfig &Cfg);
+
 } // namespace vm
 } // namespace slade
 

@@ -140,7 +140,36 @@ inline void expectSameOutcome(const core::HypothesisOutcome &A,
   EXPECT_EQ(A.Produced, B.Produced) << "job " << I;
   EXPECT_EQ(A.Compiles, B.Compiles) << "job " << I;
   EXPECT_EQ(A.IOCorrect, B.IOCorrect) << "job " << I;
+  EXPECT_EQ(A.UsedTypeInference, B.UsedTypeInference) << "job " << I;
   EXPECT_EQ(A.EditSim, B.EditSim) << "job " << I;
+}
+
+/// The selection rule of §VI-A in its plainest form: every beam candidate
+/// through evaluateHypothesis in beam order, the first IO pass kept, else
+/// the first candidate. \p Rank gets the kept pass's beam
+/// index, or -1 when no candidate passed.
+inline core::HypothesisOutcome
+referenceSelection(const core::Decompiler &D, const core::EvalTask &Task,
+                   const core::Decompiler::Options &Opts, int *Rank) {
+  nn::BeamConfig BC;
+  BC.BeamSize = Opts.BeamSize;
+  BC.MaxLen = Opts.MaxLen;
+  std::vector<nn::Hypothesis> Hyps = nn::beamSearch(
+      D.model(), D.encodeCached(D.tokenizer().encode(Task.Prog.TargetAsm)),
+      BC);
+  *Rank = -1;
+  core::HypothesisOutcome First;
+  for (size_t I = 0; I < Hyps.size(); ++I) {
+    core::HypothesisOutcome Out = core::evaluateHypothesis(
+        Task, D.tokenizer().decode(Hyps[I].Tokens), Opts.UseTypeInference);
+    if (Out.IOCorrect) {
+      *Rank = static_cast<int>(I);
+      return Out;
+    }
+    if (I == 0)
+      First = Out;
+  }
+  return First;
 }
 
 } // namespace testutil

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Eval.h"
+#include "core/Metrics.h"
 #include "obs/Metrics.h"
 #include "serve/Engine.h"
 #include "serve/Jsonl.h"
@@ -347,15 +348,77 @@ TEST(Engine, VerifiedRequestsMatchDecompileOutcomes) {
   core::Decompiler::Options DO;
   DO.BeamSize = EO.BeamSize;
   DO.MaxLen = EO.MaxLen;
+  core::Decompiler::Options Pooled = DO;
   DO.VerifyThreads = 1;
+  Pooled.VerifyThreads = 2;
   for (size_t I = 0; I < F.Tasks.size(); ++I) {
     serve::RequestResult R = Futs[I].get();
     ASSERT_TRUE(R.Verified);
-    expectSameOutcome(R.Outcome, F.Slade->decompile(F.Tasks[I], DO), I);
+    int Rank;
+    core::HypothesisOutcome Ref =
+        testutil::referenceSelection(*F.Slade, F.Tasks[I], DO, &Rank);
+    expectSameOutcome(R.Outcome, Ref, I);
+    expectSameOutcome(F.Slade->decompile(F.Tasks[I], DO), Ref, I);
+    expectSameOutcome(F.Slade->decompile(F.Tasks[I], Pooled), Ref, I);
   }
   serve::EngineMetrics M = Eng.metrics();
   EXPECT_GE(M.InFlightDeduped + M.DecodeCacheHits, 1u)
       << "the duplicate must not decode again";
+}
+
+TEST(Engine, SelectionMatchesReferenceAtEveryPassRank) {
+  // With the serving benchmark's pinned x86 O0 weights, candidates do
+  // pass: pick tasks whose first IO pass is the top candidate, a later
+  // one, or none, and check that the sequential and pooled decompile
+  // paths and a verified engine request keep the outcome (EditSim bits
+  // included) of evaluating every candidate in beam order.
+  auto Sys = core::loadSystem(SLADE_SOURCE_DIR "/perfbench/weights",
+                              "slade_x86_O0");
+  ASSERT_TRUE(Sys.hasValue()) << Sys.errorMessage();
+  core::Decompiler D(std::move(Sys->Tok), std::move(Sys->Model));
+  dataset::Corpus Corpus =
+      dataset::buildCorpus(dataset::Suite::ExeBench, 0, 160, 20240101);
+  std::vector<core::EvalTask> All =
+      core::buildTasks(Corpus.Test, asmx::Dialect::X86, /*Optimize=*/false);
+
+  core::Decompiler::Options DO;
+  DO.VerifyThreads = 1;
+  std::vector<const core::EvalTask *> Picked;
+  std::vector<core::HypothesisOutcome> Refs;
+  int Want[3] = {2, 2, 2}; // No pass, a top-candidate pass, a later pass.
+  for (const core::EvalTask &T : All) {
+    int Rank;
+    core::HypothesisOutcome Ref =
+        testutil::referenceSelection(D, T, DO, &Rank);
+    int &Left = Want[Rank < 0 ? 0 : Rank == 0 ? 1 : 2];
+    if (Left == 0)
+      continue;
+    --Left;
+    Picked.push_back(&T);
+    Refs.push_back(Ref);
+    if (Picked.size() == 6)
+      break;
+  }
+  ASSERT_EQ(Picked.size(), 6u) << "no pass / top pass / later pass left: "
+                               << Want[0] << " / " << Want[1] << " / "
+                               << Want[2];
+
+  core::Decompiler::Options Pooled = DO;
+  Pooled.VerifyThreads = 4;
+  serve::EngineOptions EO;
+  EO.BeamSize = DO.BeamSize;
+  EO.MaxLen = DO.MaxLen;
+  serve::Engine Eng(D, EO);
+  std::vector<serve::Handle> Futs;
+  for (const core::EvalTask *T : Picked)
+    Futs.push_back(Eng.submit({T->Name, "", {}, {}, T}));
+  for (size_t I = 0; I < Picked.size(); ++I) {
+    expectSameOutcome(D.decompile(*Picked[I], DO), Refs[I], I);
+    expectSameOutcome(D.decompile(*Picked[I], Pooled), Refs[I], I);
+    serve::RequestResult R = Futs[I].get();
+    ASSERT_TRUE(R.Verified);
+    expectSameOutcome(R.Outcome, Refs[I], I);
+  }
 }
 
 TEST(Engine, CallbackRunsBeforeFutureAndStopDrains) {
@@ -833,10 +896,11 @@ TEST(Engine, PreExpiredDeadlineShedsAtSubmit) {
 TEST(Engine, DeadlineExpiringBetweenDispatchAndAdmissionIsShed) {
   // A single 1-row shard is held by a long decode; a deadlined request
   // dispatched behind it expires while waiting for a segment (between
-  // dispatch and shard admission) and must resolve DeadlineExpired —
-  // without decoding and without wedging the dispatcher.
+  // dispatch and shard admission) and must resolve DeadlineExpired at
+  // its deadline — without decoding, without waiting for the blocker to
+  // retire, and without holding up the undeadlined request behind it.
   ServeFixture F(4);
-  ASSERT_GE(F.Tasks.size(), 2u);
+  ASSERT_GE(F.Tasks.size(), 3u);
   serve::EngineOptions EO;
   EO.BeamSize = 5;
   EO.MaxLen = 220; // The blocker decodes for many ticks.
@@ -858,10 +922,17 @@ TEST(Engine, DeadlineExpiringBetweenDispatchAndAdmissionIsShed) {
   R.Asm = F.Tasks[1].Prog.TargetAsm;
   R.Deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(2);
-  serve::RequestResult Victim = Eng.submit(std::move(R)).get();
+  serve::Handle VictimH = Eng.submit(std::move(R));
+  serve::Handle After =
+      Eng.submit({"after", F.Tasks[2].Prog.TargetAsm, {}, {}, nullptr});
+  serve::RequestResult Victim = VictimH.get();
   EXPECT_EQ(Victim.Status, serve::RequestStatus::DeadlineExpired)
       << "expired between dispatch and admission";
+  EXPECT_EQ(Blocker.future().wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "resolved at its deadline, while the blocker still decodes";
   EXPECT_TRUE(Blocker.get().ok()) << "the blocker is unaffected";
+  EXPECT_TRUE(After.get().ok()) << "the request behind it is served";
   Eng.stop();
   serve::EngineMetrics M = Eng.metrics();
   EXPECT_EQ(M.Expired, 1u);
@@ -1077,6 +1148,13 @@ TEST(Engine, VerifyFaultsRetryThenResolveVerifyFailed) {
   EXPECT_EQ(R.Status, serve::RequestStatus::VerifyFailed);
   EXPECT_TRUE(R.Degraded);
   EXPECT_FALSE(R.Hyps.empty()) << "the decode itself succeeded";
+  // The kept candidate faulted out: it reports no edit similarity, though
+  // its C has some.
+  ASSERT_TRUE(R.Outcome.Produced);
+  EXPECT_EQ(R.Outcome.EditSim, 0.0);
+  EXPECT_GT(core::editSimilarity(R.Outcome.CSource,
+                                 F.Tasks[0].FunctionSource),
+            0.0);
 
   // The engine still serves translate requests after the fault storm.
   serve::RequestResult T2 =
