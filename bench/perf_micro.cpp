@@ -12,6 +12,7 @@
 #include "cc/PrefixOracle.h"
 #include "core/Metrics.h"
 #include "core/Trainer.h"
+#include "dataset/Generator.h"
 #include "nn/Attention.h"
 #include "nn/Beam.h"
 #include "nn/BeamCore.h"
@@ -125,6 +126,41 @@ void BM_TokenizerEncode(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_TokenizerEncode);
+
+/// The pinned tokenizers (perfbench/weights) on functions shaped like the
+/// end-to-end benchmark's: the first 64 that compile from the workload's
+/// corpus seed, at its ISA and opt level. Each iteration encodes one
+/// function's assembly, as the engine does per request.
+void BM_TokenizerEncodePinned(benchmark::State &State, const char *Name,
+                              asmx::Dialect D, bool Optimize,
+                              uint64_t CorpusSeed) {
+  auto Tok = tok::Tokenizer::load(
+      std::string(SLADE_SOURCE_DIR "/perfbench/weights/") + Name + ".tok");
+  if (!Tok) {
+    State.SkipWithError("pinned tokenizer not found");
+    return;
+  }
+  std::vector<std::string> Asm;
+  SplitMix64 Rng(CorpusSeed);
+  while (Asm.size() < 64) {
+    dataset::Sample S =
+        dataset::generateSample(Rng, dataset::Suite::ExeBench, "");
+    if (auto P = core::compileProgram(S.FunctionSource, S.ContextSource,
+                                      S.Name, D, Optimize))
+      Asm.push_back(P->TargetAsm);
+  }
+  size_t I = 0;
+  for (auto _ : State) {
+    auto Ids = Tok->encode(Asm[I++ % Asm.size()]);
+    benchmark::DoNotOptimize(Ids);
+  }
+}
+BENCHMARK_CAPTURE(BM_TokenizerEncodePinned, x86_O0, "slade_x86_O0",
+                  asmx::Dialect::X86, false, 0x5eed0002)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_TokenizerEncodePinned, arm_O3, "slade_arm_O3",
+                  asmx::Dialect::Arm, true, 0x5eed0003)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Gemm64(benchmark::State &State) {
   std::vector<float> A(64 * 64, 1.0f), B(64 * 64, 2.0f), C(64 * 64);

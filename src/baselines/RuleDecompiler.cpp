@@ -420,12 +420,6 @@ private:
 // Block splitting
 //===----------------------------------------------------------------------===//
 
-bool isJumpMn(const std::string &M, Dialect D) {
-  if (D == Dialect::X86)
-    return M == "jmp" || (M.size() >= 2 && M[0] == 'j');
-  return M == "b" || startsWith(M, "b.") || M == "ret";
-}
-
 void Lifter::splitBlocks() {
   std::set<size_t> Starts = {0};
   for (const auto &[Label, Index] : F.Labels)

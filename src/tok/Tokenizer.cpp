@@ -5,122 +5,196 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
+#include <utility>
 
 using namespace slade;
 using namespace slade::tok;
 
-std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
-  std::vector<std::string> Atoms;
-  bool PendingSpace = false;
-  size_t I = 0, N = Text.size();
-  auto push = [&](std::string Atom) {
-    if (PendingSpace)
-      Atom = std::string(metaspace()) + Atom;
-    PendingSpace = false;
-    Atoms.push_back(std::move(Atom));
-  };
-  while (I < N) {
-    unsigned char C = static_cast<unsigned char>(Text[I]);
-    if (std::isspace(C)) {
-      PendingSpace = true;
-      ++I;
-      continue;
-    }
-    if (std::isdigit(C)) {
-      // Numbers split digit-by-digit (§IV): 512 -> [5, 1, 2].
-      push(std::string(1, static_cast<char>(C)));
-      ++I;
-      continue;
-    }
-    if (std::isalpha(C) || C == '_' || C == '.') {
-      // Identifiers, keywords, mnemonics, and local labels (.L4 keeps its
-      // dot so assembly labels stay word-like; digits inside identifiers
-      // stay attached).
-      size_t Start = I;
-      ++I;
-      while (I < N) {
-        unsigned char D = static_cast<unsigned char>(Text[I]);
-        if (std::isalnum(D) || D == '_')
-          ++I;
-        else
-          break;
-      }
-      push(Text.substr(Start, I - Start));
-      continue;
-    }
-    // Punctuation: every sign is its own token (§IV).
-    push(std::string(1, static_cast<char>(C)));
-    ++I;
-  }
-  return Atoms;
-}
-
-void Tokenizer::rebuildIndex() {
-  PieceIds.clear();
-  for (size_t I = 0; I < Pieces.size(); ++I)
-    PieceIds[Pieces[I]] = static_cast<int>(I);
-}
-
 namespace {
 
-/// Viterbi segmentation of \p Atom over \p PieceIds with \p LogProbs;
-/// returns piece ids (or UnkId singletons for uncovered characters).
-void viterbiSegment(const std::string &Atom,
-                    const std::unordered_map<std::string, int> &PieceIds,
-                    const std::vector<float> &LogProbs, unsigned MaxPieceLen,
-                    std::vector<int> *Out) {
-  size_t N = Atom.size();
-  std::vector<float> Best(N + 1, -1e30f);
-  std::vector<int> BackPiece(N + 1, -1);
-  std::vector<size_t> BackPos(N + 1, 0);
-  Best[0] = 0;
-  for (size_t End = 1; End <= N; ++End) {
-    size_t MinStart = End > MaxPieceLen + 4 ? End - MaxPieceLen - 4 : 0;
-    for (size_t Start = MinStart; Start < End; ++Start) {
-      if (Best[Start] <= -1e29f)
-        continue;
-      auto It = PieceIds.find(Atom.substr(Start, End - Start));
-      float Score;
-      int Id;
-      if (It != PieceIds.end()) {
-        Id = It->second;
-        Score = Best[Start] + LogProbs[static_cast<size_t>(Id)];
-      } else if (End - Start == 1) {
-        Id = Tokenizer::UnkId;
-        Score = Best[Start] - 30.0f; // Unknown character penalty.
-      } else {
-        continue;
-      }
-      if (Score > Best[End]) {
-        Best[End] = Score;
-        BackPiece[End] = Id;
-        BackPos[End] = Start;
-      }
+/// Byte classes of the C locale, as std::isspace, std::isalpha and
+/// std::isalnum give them; bytes 0x80 and above have none.
+enum : uint8_t { Space = 1, WordStart = 2, WordPart = 4 };
+
+constexpr std::array<uint8_t, 256> byteClasses() {
+  std::array<uint8_t, 256> T{};
+  for (unsigned char C : {' ', '\t', '\n', '\v', '\f', '\r'})
+    T[C] = Space;
+  for (unsigned char C = '0'; C <= '9'; ++C)
+    T[C] = WordPart;
+  for (unsigned char C = 'a'; C <= 'z'; ++C)
+    T[C] = T[C - 'a' + 'A'] = WordStart | WordPart;
+  T['_'] = WordStart | WordPart;
+  // Local labels (.L4) keep their dot so assembly labels stay word-like.
+  T['.'] = WordStart;
+  return T;
+}
+
+constexpr std::array<uint8_t, 256> ByteClass = byteClasses();
+
+constexpr size_t MetaspaceLen = 3; ///< Bytes of metaspace().
+
+/// Longest piece, in bytes, that encode matches.
+constexpr size_t EncodeWindow = 24 + 4;
+
+/// Calls \p Fn(Begin, Len, AfterSpace) on each atom of \p Text in order:
+/// an identifier (digits inside it stay attached), a single digit (§IV:
+/// 512 -> [5, 1, 2]) or a single punctuation byte. AfterSpace is whether
+/// whitespace precedes the atom.
+template <typename FnT> void forEachAtom(const std::string &Text, FnT &&Fn) {
+  const auto *P = reinterpret_cast<const unsigned char *>(Text.data());
+  const size_t N = Text.size();
+  bool AfterSpace = false;
+  for (size_t I = 0; I < N;) {
+    uint8_t C = ByteClass[P[I]];
+    if (C & Space) {
+      AfterSpace = true;
+      ++I;
+      continue;
     }
+    size_t Start = I++;
+    if (C & WordStart)
+      while (I < N && (ByteClass[P[I]] & WordPart))
+        ++I;
+    Fn(Text.data() + Start, I - Start, AfterSpace);
+    AfterSpace = false;
   }
-  std::vector<int> Rev;
-  for (size_t Pos = N; Pos > 0; Pos = BackPos[Pos])
-    Rev.push_back(BackPiece[Pos]);
-  Out->insert(Out->end(), Rev.rbegin(), Rev.rend());
+}
+
+/// Atoms up to this many bytes, metaspace included, are segmented with
+/// scratch on the stack.
+constexpr size_t InlineAtom = 64;
+
+/// The trie key of the edge for \p Byte out of \p Node; never 0.
+uint64_t edgeKey(uint64_t Node, unsigned char Byte) {
+  return (Node << 8 | Byte) + 1;
 }
 
 } // namespace
 
-void Tokenizer::viterbi(const std::string &Atom,
+std::vector<std::string> slade::tok::preTokenize(const std::string &Text) {
+  std::vector<std::string> Atoms;
+  forEachAtom(Text, [&](const char *Atom, size_t Len, bool AfterSpace) {
+    Atoms.emplace_back(AfterSpace ? metaspace() : "");
+    Atoms.back().append(Atom, Len);
+  });
+  return Atoms;
+}
+
+size_t Tokenizer::trieProbe(uint64_t Key) const {
+  size_t Mask = Trie.size() - 1;
+  size_t H = static_cast<size_t>((Key * 0x9E3779B97F4A7C15ULL) >> TrieShift);
+  while (Trie[H].Key != Key && Trie[H].Key != 0)
+    H = (H + 1) & Mask;
+  return H;
+}
+
+void Tokenizer::rebuildIndex() {
+  Trie.assign(2, TrieSlot());
+  TrieShift = 63;
+  size_t Nodes = 1;
+  for (size_t Id = 0; Id < Pieces.size(); ++Id) {
+    uint32_t Node = 0;
+    TrieSlot *Edge = nullptr;
+    for (unsigned char B : Pieces[Id]) {
+      uint64_t Key = edgeKey(Node, B);
+      Edge = &Trie[trieProbe(Key)];
+      if (Edge->Key == 0) {
+        if (2 * Nodes >= Trie.size()) {
+          // Keep the table under half full: double it and re-place every
+          // edge.
+          std::vector<TrieSlot> Old =
+              std::exchange(Trie, std::vector<TrieSlot>(Trie.size() * 2));
+          --TrieShift;
+          for (const TrieSlot &S : Old)
+            if (S.Key != 0)
+              Trie[trieProbe(S.Key)] = S;
+          Edge = &Trie[trieProbe(Key)];
+        }
+        Edge->Key = Key;
+        Edge->Node = static_cast<uint32_t>(Nodes++);
+      }
+      Node = Edge->Node;
+    }
+    if (Edge)
+      Edge->Piece = static_cast<int32_t>(Id);
+  }
+}
+
+void Tokenizer::viterbi(const char *Atom, size_t Len, size_t Window,
                         std::vector<int> *Out) const {
-  viterbiSegment(Atom, PieceIds, LogProbs,
-                 /*MaxPieceLen=*/24, Out);
+  // Lattice over byte positions: the best score of a segmentation of the
+  // first Pos bytes and the last piece of it. Start positions relax their
+  // end positions in ascending order with a strict >, so of equal scores
+  // the segmentation whose last piece starts earliest wins.
+  struct Cell {
+    float Best;
+    int Piece;
+    size_t From;
+  };
+  Cell Inline[InlineAtom + 1];
+  std::vector<Cell> Heap;
+  Cell *L = Inline;
+  if (Len > InlineAtom) {
+    Heap.resize(Len + 1);
+    L = Heap.data();
+  }
+  for (size_t Pos = 0; Pos <= Len; ++Pos)
+    L[Pos] = {-1e30f, -1, 0};
+  L[0].Best = 0;
+  auto Relax = [&](size_t End, int Id, float Score, size_t From) {
+    if (Score > L[End].Best)
+      L[End] = {Score, Id, From};
+  };
+  const auto *Bytes = reinterpret_cast<const unsigned char *>(Atom);
+  for (size_t Start = 0; Start < Len; ++Start) {
+    const float Base = L[Start].Best;
+    if (Base <= -1e29f)
+      continue;
+    const size_t Stop = std::min(Len, Start + Window);
+    uint64_t Node = 0;
+    for (size_t End = Start + 1; End <= Stop; ++End) {
+      const TrieSlot &Edge = Trie[trieProbe(edgeKey(Node, Bytes[End - 1]))];
+      if (Edge.Key != 0 && Edge.Piece >= 0)
+        Relax(End, Edge.Piece, Base + LogProbs[static_cast<size_t>(Edge.Piece)],
+              Start);
+      else if (End == Start + 1)
+        Relax(End, UnkId, Base - 30.0f, Start); // Unknown character penalty.
+      if (Edge.Key == 0)
+        break;
+      Node = Edge.Node;
+    }
+  }
+  size_t First = Out->size();
+  for (size_t Pos = Len; Pos > 0; Pos = L[Pos].From)
+    Out->push_back(L[Pos].Piece);
+  std::reverse(Out->begin() + static_cast<long>(First), Out->end());
 }
 
 std::vector<int> Tokenizer::encode(const std::string &Text) const {
   std::vector<int> Out;
-  for (const std::string &Atom : preTokenize(Text))
-    viterbi(Atom, &Out);
+  char Buf[InlineAtom];
+  std::string Long;
+  forEachAtom(Text, [&](const char *Atom, size_t Len, bool AfterSpace) {
+    if (!AfterSpace) {
+      viterbi(Atom, Len, EncodeWindow, &Out);
+      return;
+    }
+    char *Dst = Buf;
+    if (MetaspaceLen + Len > InlineAtom) {
+      Long.resize(MetaspaceLen + Len);
+      Dst = Long.data();
+    }
+    std::memcpy(Dst, metaspace(), MetaspaceLen);
+    std::memcpy(Dst + MetaspaceLen, Atom, Len);
+    viterbi(Dst, MetaspaceLen + Len, EncodeWindow, &Out);
+  });
   return Out;
 }
 
@@ -220,13 +294,15 @@ Tokenizer Tokenizer::train(const std::vector<std::string> &Texts,
   Tok.rebuildIndex();
 
   // 3. Hard-EM: Viterbi counts, re-estimate, prune back to VocabSize.
+  //    Candidates are at most MaxPieceLen + 3 bytes; as encode's, the
+  //    window reaches 4 bytes further.
+  const size_t TrainWindow = Cfg.MaxPieceLen + 3 + 4;
   for (int Iter = 0; Iter < Cfg.EMIterations; ++Iter) {
     std::vector<int64_t> Counts(Tok.Pieces.size(), 0);
     int64_t Total = 0;
     for (const auto &[Atom, Freq] : AtomFreq) {
       std::vector<int> Ids;
-      viterbiSegment(Atom, Tok.PieceIds, Tok.LogProbs, Cfg.MaxPieceLen + 3,
-                     &Ids);
+      Tok.viterbi(Atom.data(), Atom.size(), TrainWindow, &Ids);
       for (int Id : Ids) {
         Counts[static_cast<size_t>(Id)] += Freq;
         Total += Freq;
@@ -294,7 +370,9 @@ Expected<Tokenizer> Tokenizer::load(const std::string &Path) {
     return Expected<Tokenizer>::error("cannot open " + Path);
   Tokenizer Tok;
   uint64_t N = 0;
-  if (std::fread(&N, sizeof(N), 1, F) != 1 || N > 1000000) {
+  // Fewer than the special pieces would leave decode's <unk> fallback
+  // without a piece.
+  if (std::fread(&N, sizeof(N), 1, F) != 1 || N <= UnkId || N > 1000000) {
     std::fclose(F);
     return Expected<Tokenizer>::error("corrupt tokenizer file " + Path);
   }
