@@ -142,40 +142,10 @@ void ShardRouter::shutdownAt(std::chrono::steady_clock::time_point D) {
   Capacity.notify_all();
 }
 
-void ShardRouter::placeOn(int Shard) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++Assigned[static_cast<size_t>(Shard)];
-}
-
-void ShardRouter::registerKey(const std::string &Key, int Shard) {
-  if (Key.empty())
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  Live.emplace(Key, Shard);
-}
-
-int ShardRouter::shardOf(const std::string &Key) const {
-  if (Key.empty())
-    return -1;
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Live.find(Key);
-  return It == Live.end() ? -1 : It->second;
-}
-
-void ShardRouter::retire(const std::string &Key, int Shard) {
+void ShardRouter::retire(int Shard) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (!Key.empty()) {
-      auto It = Live.find(Key);
-      if (It != Live.end() && It->second == Shard)
-        Live.erase(It);
-    }
     --Assigned[static_cast<size_t>(Shard)];
   }
   Capacity.notify_one();
-}
-
-int ShardRouter::assigned(int Shard) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Assigned[static_cast<size_t>(Shard)];
 }

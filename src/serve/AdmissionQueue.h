@@ -11,17 +11,16 @@
 ///                    the rate the hardware sustains instead of queueing
 ///                    unbounded work.
 ///
-///   ShardRouter      the shard-aware dispatch bookkeeping: least-loaded
-///                    placement of sources across N decode shards, the
-///                    cross-shard single-flight registry of live source
-///                    keys, and the capacity wait that implements
-///                    retirement backfill (a dispatcher blocked on a
-///                    saturated engine wakes the moment ANY shard
-///                    retires, so no shard idles while the global queue
-///                    holds work).
+///   ShardRouter      shard placement: least-loaded placement of
+///                    sources across N decode shards, and the capacity
+///                    wait that implements retirement backfill (a
+///                    dispatcher blocked on a saturated engine wakes the
+///                    moment ANY shard retires, so no shard idles while
+///                    the global queue holds work).
 ///
 /// Each shard's free decode segments live in its nn::beamcore::BeamBatch
-/// (nn/BeamCore.h).
+/// (nn/BeamCore.h); in-flight dedup lives in the engine's flight table
+/// (serve/Engine.h).
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_SERVE_ADMISSIONQUEUE_H
@@ -37,7 +36,6 @@
 #include <future>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace slade {
@@ -140,10 +138,6 @@ struct Admission {
   /// starts from. Both inert (false/0) while tracing is off.
   bool Traced = false;
   uint64_t SubmitNs = 0;
-
-  bool cancelled() const {
-    return Cancel && Cancel->load(std::memory_order_acquire);
-  }
 };
 
 /// Bounded earliest-deadline-first queue between submitters and the
@@ -186,18 +180,14 @@ private:
   bool Closed = false;
 };
 
-/// Shard-aware dispatch bookkeeping for the sharded streaming engine:
-/// which shard each new source lands on, which shard currently owns
-/// each live source key, and how a saturated dispatcher waits for
+/// Shard placement for the sharded streaming engine: which shard each
+/// new source lands on, and how a saturated dispatcher waits for
 /// capacity. One dispatcher thread places; N shard threads retire.
 ///
 /// Placement is least-loaded-rows: the shard with the fewest assigned
 /// (placed-but-not-retired) sources wins, ties to the lowest id —
 /// admissions spread instead of convoying, and a retiring shard is
-/// immediately preferred for backfill. The live-key registry is the
-/// cross-shard single-flight index: the dispatcher routes a request
-/// whose source is live on ANY shard to that shard as an attach instead
-/// of re-decoding it.
+/// immediately preferred for backfill.
 class ShardRouter {
 public:
   /// \p Shards decode shards, each with \p SourcesPerShard source slots.
@@ -218,28 +208,15 @@ public:
   /// fail fast with -1, and a placement already blocked on capacity is
   /// woken at \p D. Idempotent; earlier deadlines win.
   void shutdownAt(std::chrono::steady_clock::time_point D);
-  /// Out-of-band reservation on a SPECIFIC shard (a shard readmitting an
-  /// attach whose target already retired). Never blocks; the shard's
-  /// pending queue may transiently exceed its slot count — decode rows
-  /// themselves stay bounded by the shard's BeamBatch segments.
-  void placeOn(int Shard);
-  /// Registers a live source key as owned by \p Shard.
-  void registerKey(const std::string &Key, int Shard);
-  /// The shard currently decoding \p Key, or -1 when none.
-  int shardOf(const std::string &Key) const;
-  /// Retirement: releases \p Shard's slot, drops \p Key when it is
-  /// registered to \p Shard, and wakes a capacity-blocked placement.
-  void retire(const std::string &Key, int Shard);
-  /// Sources currently assigned (placed, not yet retired) to \p Shard.
-  int assigned(int Shard) const;
+  /// Retirement: releases a slot on \p Shard and wakes a
+  /// capacity-blocked placement.
+  void retire(int Shard);
 
 private:
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::condition_variable Capacity;
   std::vector<int> Assigned;
   int PerShard;
-  /// Live source key -> owning shard (single-flight).
-  std::unordered_map<std::string, int> Live;
   /// Drain deadline; placements past it fail with -1. max() = none.
   std::chrono::steady_clock::time_point ShutdownAt =
       std::chrono::steady_clock::time_point::max();

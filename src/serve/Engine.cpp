@@ -11,6 +11,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 using namespace slade;
 using namespace slade::serve;
@@ -60,7 +61,8 @@ struct Engine::Completion {
   /// anchor timestamps (recorder-epoch ns). Inert while tracing is off.
   bool Traced = false;
   uint64_t SubmitNs = 0; ///< Queue-wait span start.
-  uint64_t RouteNs = 0;  ///< Dispatch routed it; admission-wait start.
+  /// Dispatch routed it: admission-wait start, or the attach to a flight.
+  uint64_t RouteNs = 0;
 
   /// Why this completion can no longer be served — or Ok while it can.
   /// Cancellation wins over expiry when both hold (the client asked
@@ -92,61 +94,57 @@ struct Engine::Completion {
   }
 };
 
-/// One live source in a shard's continuous batch: its segment in the
-/// shard's BeamBatch (which holds its beams) and the completions it
-/// serves — its own, plus any identical requests that arrived while it
-/// was decoding (single-flight dedup, possibly routed from the dispatcher
-/// across shards).
+/// The clients one decode serves: the request that started it plus every
+/// identical request the dispatcher attached while it was in flight
+/// (single-flight dedup across all shards). Mu guards every field; the
+/// dispatcher appends under it and the owning shard sweeps, stamps and
+/// finally takes the clients under it.
+struct Engine::Flight {
+  std::mutex Mu;
+  /// Oldest first. The front client is the decode's main request: its
+  /// trace carries the decode span. A dead client is removed, so the
+  /// oldest live one takes over.
+  std::vector<Completion> Clients;
+  /// The decode holds a row: an attach ends the duplicate's queue wait.
+  bool Admitted = false;
+  /// The decode retired, aborted or was force-shed and its clients are
+  /// taken: nothing attaches any more.
+  bool Closed = false;
+};
+
+/// One source routed to a shard: in its inbox or pending queue until a
+/// segment frees, then live in the shard's BeamBatch (which holds its
+/// beams) until it retires or aborts.
 struct Engine::Job {
-  Completion Main;
-  std::vector<Completion> Attached;
-  /// Byte key of the tokenized source, for single-flight matching.
-  std::string SrcKey;
-  /// True when the dispatcher registered SrcKey in the live-key
-  /// registry for THIS job. A readmitted attach-fallback job carries
-  /// the key (so later attaches can still merge on its shard) but no
-  /// registration — its retirement must not erase an entry a newer
-  /// job owns.
-  bool Registered = false;
+  std::shared_ptr<Flight> F;
+  /// Byte key of the tokenized source: its entry in the flight table
+  /// (empty for a pre-encoded source without tokens).
+  std::string Key;
   /// The tokenized source itself: the decoded-hypotheses LRU key.
   std::vector<int> Src;
+  std::shared_ptr<const nn::Transformer::EncoderCache> Enc;
   /// Weight version the source was encoded under (LRU key component).
   uint64_t ConstsVersion = 0;
 
   int Seg = -1; ///< BeamBatch segment owned while live.
-  /// Decode-span start (row admission), recorder-epoch ns; meaningful
-  /// only when Main.Traced.
+  /// Row admission, recorder-epoch ns; stamped whenever tracing is on,
+  /// since any client may end up at the front.
   uint64_t AdmitNs = 0;
-};
-
-/// One routed request, in a shard's inbox or pending queue. Attach
-/// messages carry no encoder cache (the live target owns one); they
-/// convert to admissions only on the retire race (see shardLoop).
-struct Engine::ShardMsg {
-  bool Attach = false;
-  /// Admissions only: the dispatcher registered SrcKey for this source.
-  bool Registered = false;
-  Completion C;
-  std::vector<int> Src;
-  std::string SrcKey;
-  std::shared_ptr<const nn::Transformer::EncoderCache> Enc;
-  /// Duplicates that attached while this admission was still waiting
-  /// for a free segment; become the job's Attached set on admission.
-  std::vector<Completion> Attached;
 };
 
 /// One decode shard: a long-lived thread owning a BeamBatch (its decode
 /// state, free segments and scratch) — nothing on its hot tick is shared
 /// with other shards. Cross-thread surface: the inbox (dispatcher ->
-/// shard) and the shard's single-writer instrument cells (the per-tick
-/// utilization/constraint accumulators moved into the metrics
-/// registry — Engine::Ins, cell == Index — keeping the exact
-/// single-writer relaxed-store discipline they had as raw atomics).
+/// shard), its jobs' flights, and the shard's single-writer instrument
+/// cells (the per-tick utilization/constraint accumulators moved into
+/// the metrics registry — Engine::Ins, cell == Index — keeping the
+/// exact single-writer relaxed-store discipline they had as raw
+/// atomics).
 struct Engine::Shard {
   int Index = 0;
   std::mutex Mu;
   std::condition_variable Cv;
-  std::vector<ShardMsg> Inbox;
+  std::vector<Job> Inbox;
   std::thread Thread;
 };
 
@@ -623,31 +621,54 @@ void Engine::completeOne(
   });
 }
 
-/// Retirement: complete the job's own request and every duplicate that
-/// attached to it — all share one decode's hypotheses.
-void Engine::finishJob(
-    Job &&J, std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps) {
-  completeOne(std::move(J.Main), Hyps);
-  for (Completion &C : J.Attached)
-    completeOne(std::move(C), Hyps);
-}
-
-void Engine::sendToShard(Shard &S, ShardMsg &&Msg) {
+void Engine::sendToShard(Shard &S, Job &&J) {
   {
     std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Inbox.push_back(std::move(Msg));
+    S.Inbox.push_back(std::move(J));
   }
   S.Cv.notify_one();
+}
+
+bool Engine::attach(const std::string &Key, Completion &C) {
+  std::lock_guard<std::mutex> Lock(FlightsMu);
+  auto It = Flights.find(Key);
+  if (It == Flights.end())
+    return false;
+  Flight &F = *It->second;
+  std::lock_guard<std::mutex> FlightLock(F.Mu);
+  if (F.Closed)
+    return false;
+  // The duplicate's queue wait ends here when the decode already holds a
+  // row; otherwise the shard stamps it at admission.
+  if (F.Admitted)
+    C.QueueWait = secondsSince(C.SubmitTime);
+  if (C.Traced)
+    C.RouteNs = obs::trace().nowNs();
+  F.Clients.push_back(std::move(C));
+  // Counted before the flight lock drops, so before the shard can
+  // complete the duplicate (drain() then sees every attach counted).
+  std::lock_guard<std::mutex> MetricsLock(MetricsMu);
+  ++Totals.InFlightDeduped;
+  return true;
+}
+
+void Engine::forgetFlight(const Job &J) {
+  if (J.Key.empty())
+    return;
+  std::lock_guard<std::mutex> Lock(FlightsMu);
+  auto It = Flights.find(J.Key);
+  if (It != Flights.end() && It->second == J.F)
+    Flights.erase(It);
 }
 
 /// The dispatcher: drains the shared queue in EDF order and routes each
 /// request — shedding dead work FIRST (cancelled / expired / past the
 /// drain deadline: typed resolution, no encode, no row) — then
-/// decode-LRU hit, cross-shard single-flight attach, or least-loaded
-/// placement (blocking while every shard is saturated; any shard's
-/// retirement backfills). Encoding runs HERE, overlapped with every
-/// shard's decode ticks, and encode failures are contained to the one
-/// request they strike.
+/// decode-LRU hit, attach to an open flight of the same source (on any
+/// shard), or least-loaded placement (blocking while every shard is
+/// saturated; any shard's retirement backfills). Encoding runs HERE,
+/// overlapped with every shard's decode ticks, and encode failures are
+/// contained to the one request they strike.
 void Engine::dispatchLoop() {
   obs::TraceRecorder &TR = obs::trace();
   TR.nameThread("dispatcher");
@@ -662,8 +683,7 @@ void Engine::dispatchLoop() {
     BC.Constraint = &D.vocabConstraint();
   // The dispatcher's encode pool, same width as the shards' tick pools
   // (TickThreads == 1 spawns nothing). Encoder outputs are bit-identical
-  // at every width, so dispatcher-side and shard-side encodes of one
-  // source still dedupe through the encoder LRU.
+  // at every width.
   nn::ParallelFor EncPool(Opts.TickThreads);
 
   Admission A;
@@ -721,25 +741,15 @@ void Engine::dispatchLoop() {
       std::lock_guard<std::mutex> Lock(MetricsMu);
       ++Totals.DecodeCacheMisses;
     }
-    std::string SrcKey(reinterpret_cast<const char *>(Src.data()),
-                       Src.size() * sizeof(int));
-    // Cross-shard single-flight: an identical source decoding on ANY
-    // shard serves this request too — route an attach to its shard
-    // instead of occupying a row anywhere. (Determinism makes the
-    // hypotheses identical by construction.)
-    int LiveShard = Router.shardOf(SrcKey);
-    if (LiveShard >= 0) {
-      if (C.Traced)
-        C.RouteNs = TR.nowNs();
-      ShardMsg M;
-      M.Attach = true;
-      M.C = std::move(C);
-      M.Src = std::move(Src);
-      M.SrcKey = std::move(SrcKey);
-      sendToShard(*ShardsVec[static_cast<size_t>(LiveShard)],
-                  std::move(M));
+    std::string Key(reinterpret_cast<const char *>(Src.data()),
+                    Src.size() * sizeof(int));
+    // Single-flight: an identical source in flight on ANY shard (live
+    // or waiting for a row) serves this request too, instead of it
+    // occupying a row anywhere. (Determinism makes the hypotheses
+    // identical by construction.) A closed or missing flight places the
+    // request like any fresh source.
+    if (!Key.empty() && attach(Key, C))
       continue;
-    }
     // Fresh source: reserve a slot on the least-loaded shard (blocking
     // while all shards are full — retirement backfill wakes us; the drain
     // deadline or the request's own deadline unblocks with -1), THEN
@@ -757,7 +767,7 @@ void Engine::dispatchLoop() {
     Dead = C.deadStatus(Clock::now());
     if (Dead != RequestStatus::Ok) {
       if (SI >= 0)
-        Router.retire(std::string(), SI);
+        Router.retire(SI);
       completeEmpty(std::move(C), Dead);
       continue;
     }
@@ -772,7 +782,7 @@ void Engine::dispatchLoop() {
     } catch (...) {
       // Containment: the fault resolves THIS request; the reserved slot
       // returns to the router and the dispatcher keeps serving.
-      Router.retire(std::string(), SI);
+      Router.retire(SI);
       {
         std::lock_guard<std::mutex> Lock(MetricsMu);
         Totals.EncodeSeconds += secondsSince(T0);
@@ -787,14 +797,20 @@ void Engine::dispatchLoop() {
     }
     if (C.Traced)
       C.RouteNs = TR.nowNs();
-    Router.registerKey(SrcKey, SI);
-    ShardMsg M;
-    M.Registered = !SrcKey.empty();
-    M.C = std::move(C);
-    M.Src = std::move(Src);
-    M.SrcKey = std::move(SrcKey);
-    M.Enc = std::move(Enc);
-    sendToShard(*ShardsVec[static_cast<size_t>(SI)], std::move(M));
+    Job J;
+    J.F = std::make_shared<Flight>();
+    J.F->Clients.push_back(std::move(C));
+    if (!Key.empty()) {
+      // Any entry left for this key is a closed flight whose shard has
+      // not erased it yet (attach failed above, and only this thread
+      // inserts).
+      std::lock_guard<std::mutex> Lock(FlightsMu);
+      Flights[Key] = J.F;
+    }
+    J.Key = std::move(Key);
+    J.Src = std::move(Src);
+    J.Enc = std::move(Enc);
+    sendToShard(*ShardsVec[static_cast<size_t>(SI)], std::move(J));
   }
   // Queue closed and fully routed: let the shards run dry and exit.
   DispatchDone.store(true, std::memory_order_release);
@@ -811,7 +827,9 @@ void Engine::dispatchLoop() {
 /// ABORTED (their K/V segment recycled for queued work) before the next
 /// admission pass, so dead work never outcompetes live work for
 /// capacity. No cross-shard synchronization on the tick — only the
-/// inbox swap and per-request completion bookkeeping take locks.
+/// inbox swap, this shard's own jobs' flights (shared with the
+/// dispatcher's attaches) and per-request completion bookkeeping take
+/// locks.
 void Engine::shardLoop(Shard &S) {
   obs::TraceRecorder &TR = obs::trace();
   TR.nameThread("shard-" + std::to_string(S.Index));
@@ -826,94 +844,97 @@ void Engine::shardLoop(Shard &S) {
   }
 
   nn::beamcore::BeamBatch Batch(Model, BC, Opts.MaxLiveSources);
-  // The shard's intra-tick worker pool: ticks and this shard's
-  // readmission encodes both fan out over it (never concurrently — the
-  // shard loop is single-threaded). TickThreads == 1 constructs no pool
-  // and every consumer runs the sequential code path.
+  // The shard's intra-tick worker pool. TickThreads == 1 constructs no
+  // pool and every tick runs the sequential code path.
   nn::ParallelFor TickPool(Opts.TickThreads);
   Batch.state().TP = &TickPool;
-  std::vector<std::unique_ptr<Job>> Jobs; // Admission order.
-  /// Routed messages not yet admitted: attaches waiting to merge and
-  /// admissions waiting for a free segment (or for a weight-version
-  /// drain). Admission order is preserved; attaches never block.
-  std::vector<ShardMsg> Pending;
-  std::vector<ShardMsg> Local;
+  std::vector<Job> Jobs; // Live, in admission order.
+  /// Routed jobs waiting for a free segment (or for a weight-version
+  /// drain), in arrival order.
+  std::vector<Job> Pending;
+  std::vector<Job> Local;
   std::vector<nn::beamcore::BeamBatch::Finished> Finished;
   uint64_t Tick = 0; ///< This shard's tick number (fault-injection id).
 
-  // Releases a LIVE job's row state without finishing it: aborts its
-  // rows in the decode state, frees its segment for recycling, and
-  // drops its router slot/key.
+  // The one dead-client rule, for a live job and a pending one alike:
+  // every client that cancelled or expired resolves on its own (with
+  // Force set, every client resolves as \p ForceSt: the drain-deadline
+  // path). False once no live client is left; the flight is then closed
+  // in the same critical section, so no attach can land on a decode
+  // about to be dropped, and the caller aborts the row or returns the
+  // router slot.
+  auto ShedDead = [&](Job &J, Clock::time_point Now, bool Force,
+                      RequestStatus ForceSt) {
+    std::vector<std::pair<Completion, RequestStatus>> Dead;
+    bool Live = false;
+    {
+      std::lock_guard<std::mutex> Lock(J.F->Mu);
+      std::vector<Completion> &Cs = J.F->Clients;
+      size_t Keep = 0;
+      for (size_t I = 0; I < Cs.size(); ++I) {
+        RequestStatus St = Force ? ForceSt : Cs[I].deadStatus(Now);
+        if (St != RequestStatus::Ok) {
+          Dead.emplace_back(std::move(Cs[I]), St);
+          continue;
+        }
+        // Never self-move: it would empty the completion's Name.
+        if (Keep != I)
+          Cs[Keep] = std::move(Cs[I]);
+        ++Keep;
+      }
+      Cs.resize(Keep);
+      Live = Keep > 0;
+      J.F->Closed = !Live;
+    }
+    // Resolve outside the flight lock: a client's callback may block.
+    for (auto &[C, St] : Dead)
+      completeEmpty(std::move(C), St);
+    if (!Live)
+      forgetFlight(J);
+    return Live;
+  };
+
+  // Releases a live job whose every client is gone: aborts its rows in
+  // the decode state, frees its segment for recycling, returns its
+  // router slot.
   auto AbortJobRow = [&](Job &J) {
     Batch.abort(J.Seg);
-    Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
+    Router.retire(S.Index);
     std::lock_guard<std::mutex> Lock(MetricsMu);
     --Totals.LiveSources;
   };
 
   // Retires a job whose source BeamBatch finished (\p F): feeds the
-  // decode LRU and completes every client it serves. LRU insert FIRST,
-  // registry drop second: a dispatcher that still sees the key routes an
-  // attach here (served from a live job or this cache entry); one that
-  // no longer sees it finds the cache entry up front. Only the job that
-  // REGISTERED the key may drop it: a readmitted (unregistered) job
-  // retiring must not erase an entry a newer job for the same source
-  // owns.
+  // decode LRU, then closes the flight and completes every client it
+  // serves. LRU insert FIRST: a duplicate dispatched after the close
+  // mostly finds the cache entry up front.
   auto RetireJob = [&](Job &&J, nn::beamcore::BeamBatch::Finished &&F) {
-    if (J.Main.Traced)
-      TR.record(obs::SpanKind::Decode, J.Main.Seq, J.AdmitNs, TR.nowNs(),
-                static_cast<uint64_t>(F.Steps));
     std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps =
         std::make_shared<std::vector<nn::Hypothesis>>(std::move(F.Hyps));
     if (Opts.UseDecodeCache && !J.Src.empty())
       D.decodeCache().put(J.Src, J.ConstsVersion, BC, Hyps);
-    Router.retire(J.Registered ? J.SrcKey : std::string(), S.Index);
+    std::vector<Completion> Clients;
+    {
+      std::lock_guard<std::mutex> Lock(J.F->Mu);
+      J.F->Closed = true;
+      Clients.swap(J.F->Clients);
+    }
+    forgetFlight(J);
+    assert(!Clients.empty() && "the pre-tick sweep leaves a live client");
+    // The front client's decode span starts when a row first served it:
+    // the admission, or its attach when that came later.
+    const Completion &Front = Clients.front();
+    if (Front.Traced)
+      TR.record(obs::SpanKind::Decode, Front.Seq,
+                std::max(J.AdmitNs, Front.RouteNs), TR.nowNs(),
+                static_cast<uint64_t>(F.Steps));
+    Router.retire(S.Index);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
       --Totals.LiveSources;
     }
-    finishJob(std::move(J), std::move(Hyps));
-  };
-
-  // The one dead-completion rule, for a live job and a pending message
-  // alike. Dead attached completions resolve individually; a dead Main
-  // promotes the oldest live attached completion (the decode is still
-  // wanted — someone is waiting on it). With Force set every completion
-  // resolves as \p ForceSt regardless of its own state (the
-  // drain-deadline path). False once no client is left: the caller
-  // aborts the row or returns the router slot.
-  auto ShedDead = [&](Completion &Main, std::vector<Completion> &Attached,
-                      Clock::time_point Now, bool Force,
-                      RequestStatus ForceSt) {
-    size_t AKeep = 0;
-    for (size_t AI = 0; AI < Attached.size(); ++AI) {
-      RequestStatus St = Force ? ForceSt : Attached[AI].deadStatus(Now);
-      if (St != RequestStatus::Ok) {
-        completeEmpty(std::move(Attached[AI]), St);
-        continue;
-      }
-      // Never self-move: it would empty the completion's Name.
-      if (AKeep != AI)
-        Attached[AKeep] = std::move(Attached[AI]);
-      ++AKeep;
-    }
-    Attached.resize(AKeep);
-    RequestStatus MainSt = Force ? ForceSt : Main.deadStatus(Now);
-    if (MainSt == RequestStatus::Ok)
-      return true;
-    completeEmpty(std::move(Main), MainSt);
-    if (Attached.empty())
-      return false;
-    Main = std::move(Attached.front());
-    Attached.erase(Attached.begin());
-    return true;
-  };
-
-  // A pending message with no client left gives back the router slot
-  // its admission reserved (attaches reserved none).
-  auto DropMsg = [&](ShardMsg &M) {
-    if (!M.Attach)
-      Router.retire(M.Registered ? M.SrcKey : std::string(), S.Index);
+    for (Completion &C : Clients)
+      completeOne(std::move(C), Hyps);
   };
 
   // The per-tick cancellation sweep: a job with NO live client left
@@ -923,43 +944,43 @@ void Engine::shardLoop(Shard &S) {
     auto Now = Clock::now();
     size_t Keep = 0;
     for (size_t JI = 0; JI < Jobs.size(); ++JI) {
-      Job &J = *Jobs[JI];
-      if (!ShedDead(J.Main, J.Attached, Now, Force, ForceSt)) {
-        AbortJobRow(J);
+      if (!ShedDead(Jobs[JI], Now, Force, ForceSt)) {
+        AbortJobRow(Jobs[JI]);
         continue; // Job dropped.
       }
-      Jobs[Keep++] = std::move(Jobs[JI]);
+      if (Keep != JI)
+        Jobs[Keep] = std::move(Jobs[JI]);
+      ++Keep;
     }
     Jobs.resize(Keep);
   };
 
-  // Binds an admission into a freed segment; false = no free segment,
+  // Binds a pending job into a freed segment; false = no free segment,
   // or a weight-version mismatch with the live rows (the caller keeps it
   // pending until this shard's batch drains — an idle batch adopts the
   // new version).
-  auto TryAdmit = [&](ShardMsg &M) {
-    int Seg = Batch.admit(M.Enc);
+  auto TryAdmit = [&](Job &J) {
+    int Seg = Batch.admit(J.Enc);
     if (Seg < 0)
       return false;
-    // Queue wait ends HERE — at admission into a decode row — for the
-    // admission itself AND for every duplicate that merged while it
-    // was pending (none of them were served by a row until now).
-    M.C.QueueWait = secondsSince(M.C.SubmitTime);
-    for (Completion &AC : M.Attached)
-      AC.QueueWait = secondsSince(AC.SubmitTime);
-    if (M.C.Traced)
-      TR.record(obs::SpanKind::AdmissionWait, M.C.Seq, M.C.RouteNs,
-                TR.nowNs());
-    auto J = std::make_unique<Job>();
-    J->Main = std::move(M.C);
-    J->AdmitNs = J->Main.Traced ? TR.nowNs() : 0;
-    J->Attached = std::move(M.Attached);
-    J->Registered = M.Registered;
-    J->SrcKey = std::move(M.SrcKey);
-    J->Src = std::move(M.Src);
-    J->ConstsVersion =
-        M.Enc->Consts ? M.Enc->Consts->Version : Model.weightVersion();
-    J->Seg = Seg;
+    J.Seg = Seg;
+    J.ConstsVersion =
+        J.Enc->Consts ? J.Enc->Consts->Version : Model.weightVersion();
+    J.AdmitNs = TR.enabled() ? TR.nowNs() : 0;
+    {
+      std::lock_guard<std::mutex> Lock(J.F->Mu);
+      J.F->Admitted = true;
+      // Queue wait ends HERE — at admission into a decode row — for the
+      // request that started the flight AND for every duplicate that
+      // attached while it was pending (none of them were served by a
+      // row until now).
+      for (Completion &C : J.F->Clients)
+        C.QueueWait = secondsSince(C.SubmitTime);
+      const Completion &Front = J.F->Clients.front();
+      if (Front.Traced)
+        TR.record(obs::SpanKind::AdmissionWait, Front.Seq, Front.RouteNs,
+                  J.AdmitNs);
+    }
     Ins.Sources->add(S.Index, 1);
     {
       std::lock_guard<std::mutex> Lock(MetricsMu);
@@ -971,97 +992,39 @@ void Engine::shardLoop(Shard &S) {
     return true;
   };
 
-  // Routes every pending message: dead requests shed (covering the
-  // deadline-expired-between-dispatch-and-admission window), attaches
-  // merge into live jobs, pending admissions of the same source, the
-  // decode LRU, or (rarely) readmit; admissions bind to segments in
-  // arrival order.
+  // Admits pending jobs in arrival order: dead clients shed first
+  // (covering the deadline-expired-between-dispatch-and-admission
+  // window), and a job with none left returns its router slot.
   auto ProcessPending = [&] {
     bool AdmitBlocked = false;
     size_t Keep = 0;
-    for (size_t MI = 0; MI < Pending.size(); ++MI) {
-      ShardMsg &M = Pending[MI];
+    for (size_t JI = 0; JI < Pending.size(); ++JI) {
+      Job &J = Pending[JI];
       // Shed dead work before it binds a row (the job sweep's rule).
-      if (!ShedDead(M.C, M.Attached, Clock::now(), /*Force=*/false,
-                    RequestStatus::Ok)) {
-        DropMsg(M);
-        continue; // Message dropped, typed resolutions sent.
+      if (!ShedDead(J, Clock::now(), /*Force=*/false, RequestStatus::Ok)) {
+        Router.retire(S.Index);
+        continue; // Job dropped, typed resolutions sent.
       }
-      if (M.Attach) {
-        // Attach to the live job decoding this source...
-        Job *Tgt = nullptr;
-        for (const std::unique_ptr<Job> &J : Jobs)
-          if (J->SrcKey == M.SrcKey) {
-            Tgt = J.get();
-            break;
-          }
-        if (Tgt) {
-          // The duplicate's wait ends here: it is now served by a row.
-          M.C.QueueWait = secondsSince(M.C.SubmitTime);
-          Tgt->Attached.push_back(std::move(M.C));
-          std::lock_guard<std::mutex> Lock(MetricsMu);
-          ++Totals.InFlightDeduped;
-          continue;
-        }
-        // ...or to a pending admission of the same source (the target
-        // is still waiting for a segment)...
-        ShardMsg *P = nullptr;
-        for (size_t PJ = 0; PJ < Keep; ++PJ)
-          if (!Pending[PJ].Attach && Pending[PJ].SrcKey == M.SrcKey) {
-            P = &Pending[PJ];
-            break;
-          }
-        if (P) {
-          // QueueWait stays open: it is stamped when the pending
-          // admission actually binds a row (TryAdmit).
-          P->Attached.push_back(std::move(M.C));
-          std::lock_guard<std::mutex> Lock(MetricsMu);
-          ++Totals.InFlightDeduped;
-          continue;
-        }
-        // ...or the target retired before the attach landed: its result
-        // is in the decode LRU (retirement inserts BEFORE the registry
-        // entry drops, so this is the common race outcome)...
-        if (Opts.UseDecodeCache) {
-          if (std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps =
-                  D.decodeCache().get(M.Src, Model.weightVersion(), BC)) {
-            {
-              std::lock_guard<std::mutex> Lock(MetricsMu);
-              ++Totals.DecodeCacheHits;
-            }
-            M.C.QueueWait = secondsSince(M.C.SubmitTime);
-            completeOne(std::move(M.C), std::move(Hyps));
-            continue;
-          }
-        }
-        // ...or (LRU disabled or evicted) readmit it on this shard:
-        // an out-of-band slot, no registry entry — later duplicates go
-        // through the dispatcher afresh. Rare by construction.
-        M.Attach = false;
-        M.Enc = D.encodeCached(M.Src, &TickPool);
-        Router.placeOn(S.Index);
-      }
-      if (!AdmitBlocked && TryAdmit(M))
+      if (!AdmitBlocked && TryAdmit(J))
         continue;
-      // Out of segments or version-deferred: later admissions wait
-      // behind this one (arrival order), attaches still process.
+      // Out of segments or version-deferred: later jobs wait behind
+      // this one (arrival order).
       AdmitBlocked = true;
-      if (Keep != MI)
-        Pending[Keep] = std::move(M);
+      if (Keep != JI)
+        Pending[Keep] = std::move(J);
       ++Keep;
     }
     Pending.resize(Keep);
   };
 
   // Force-resolves EVERYTHING this shard holds as ShuttingDown (the
-  // drain deadline passed): pending messages, then live jobs.
+  // drain deadline passed): pending jobs, then live ones.
   auto ForceShedAll = [&] {
     auto Now = Clock::now();
-    for (ShardMsg &M : Pending) {
+    for (Job &J : Pending) {
       // Forced, so no client is left: always false.
-      ShedDead(M.C, M.Attached, Now, /*Force=*/true,
-               RequestStatus::ShuttingDown);
-      DropMsg(M);
+      ShedDead(J, Now, /*Force=*/true, RequestStatus::ShuttingDown);
+      Router.retire(S.Index);
     }
     Pending.clear();
     SweepJobs(/*Force=*/true, RequestStatus::ShuttingDown);
@@ -1083,12 +1046,12 @@ void Engine::shardLoop(Shard &S) {
       Local.clear();
       Local.swap(S.Inbox);
     }
-    for (ShardMsg &M : Local)
-      Pending.push_back(std::move(M));
+    for (Job &J : Local)
+      Pending.push_back(std::move(J));
     // -- drain deadline: force-resolve local work, exit when routed dry -----
     if (Clock::now() >= drainDeadline()) {
       ForceShedAll();
-      // Loop back to the idle wait: late inbox messages (the dispatcher
+      // Loop back to the idle wait: late inbox jobs (the dispatcher
       // is still shedding the queue) force-shed too; once DispatchDone
       // and the inbox is dry, the wait above returns us out.
       continue;
@@ -1098,14 +1061,14 @@ void Engine::shardLoop(Shard &S) {
     SweepJobs(/*Force=*/false, RequestStatus::Ok);
     ProcessPending();
     if (Jobs.empty())
-      continue; // Everything attached/completed; re-block on the inbox.
+      continue; // Everything completed; re-block on the inbox.
 
     // -- one tick: a fused forward over every live row, each source's -----
     // -- selection; finished sources retire mid-flight ---------------------
     if (Jobs.size() > 1)
-      for (const std::unique_ptr<Job> &J : Jobs) {
-        J->Main.Shared = true;
-        for (Completion &C : J->Attached)
+      for (Job &J : Jobs) {
+        std::lock_guard<std::mutex> Lock(J.F->Mu);
+        for (Completion &C : J.F->Clients)
           C.Shared = true;
       }
     const size_t Rows = static_cast<size_t>(Batch.rows());
@@ -1131,12 +1094,11 @@ void Engine::shardLoop(Shard &S) {
           secondsToDuration(Injector.config().SlowTickSeconds));
 
     for (nn::beamcore::BeamBatch::Finished &F : Finished) {
-      auto It = std::find_if(
-          Jobs.begin(), Jobs.end(),
-          [&](const std::unique_ptr<Job> &J) { return J->Seg == F.Seg; });
-      std::unique_ptr<Job> J = std::move(*It);
+      auto It = std::find_if(Jobs.begin(), Jobs.end(),
+                             [&](const Job &J) { return J.Seg == F.Seg; });
+      Job J = std::move(*It);
       Jobs.erase(It);
-      RetireJob(std::move(*J), std::move(F));
+      RetireJob(std::move(J), std::move(F));
     }
     if (BC.Constraint) {
       // Publish this tick's oracle counters (single-writer bumps; the

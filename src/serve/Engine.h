@@ -16,17 +16,20 @@
 ///                     ▼ dispatcher (EDF order; expired/cancelled work
 ///                       is shed HERE, before any encode)
 ///        ┌─ decoded-hypotheses LRU hit? ──▶ complete (decode skipped)
-///        ├─ source live on ANY shard? ────▶ attach (single-flight)
+///        ├─ open flight of this source? ──▶ join its clients (single-
+///        │  (flight table, any shard)         flight; no row, no message)
 ///        └─ place on least-loaded shard (blocks when all shards full;
-///           a retirement on any shard backfills from the queue)
+///           a retirement on any shard backfills from the queue),
+///           encode, open a flight for the source
 ///                     │
 ///                     ▼
 ///   shard loops:  [rows][rows] ... one BeamBatch step per tick each;
 ///                 finished sources retire mid-flight, results feed the
-///                 decode LRU, freed segments recycle for the next
-///                 admission. A row whose every client cancelled or
-///                 expired is ABORTED mid-decode and its segment
-///                 recycled immediately.
+///                 decode LRU, then the flight closes and every client
+///                 it holds completes; freed segments recycle for the
+///                 next admission. A row whose every client cancelled or
+///                 expired is ABORTED mid-decode (its flight closed in
+///                 the same step) and its segment recycled immediately.
 ///                     │
 ///                     ▼
 ///   verify pool:  compile + IO-test candidates in beam order — with
@@ -46,6 +49,16 @@
 /// and a decode-LRU hit returns a result that deterministic decode
 /// already produced. Arrival order, placement, row recycling, and row
 /// ABORTS cannot change any other request's result, only its latency.
+///
+/// In-flight dedup has one owner, the engine's flight table: a source's
+/// token bytes map to its flight, the clients one decode serves (oldest
+/// first; the front one is the main request) plus Admitted / Closed
+/// flags, all under the flight's own mutex. The dispatcher appends a
+/// duplicate to any flight not Closed; the owning shard sets Closed and
+/// takes the clients in one critical section when the decode retires,
+/// aborts or is force-shed, so an attach can never miss its decode. A
+/// duplicate that finds its flight closed or gone is placed like any
+/// fresh source.
 ///
 /// Failure domains (docs/ARCHITECTURE.md "failure domains & request
 /// lifecycle"): a fault is contained to the REQUEST it strikes — an
@@ -68,6 +81,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 
 namespace slade {
 namespace serve {
@@ -197,9 +211,10 @@ struct EngineMetrics {
   /// Requests that shared at least one decode tick with another source
   /// (on the same shard).
   size_t FusedJobs = 0;
-  /// Requests whose tokenized source matched a source already decoding
-  /// on ANY shard: they attached to the live job (single-flight) and
-  /// completed with its hypotheses instead of occupying a decode row.
+  /// Requests whose tokenized source matched a source already in flight
+  /// (decoding, or waiting for a row) on ANY shard: they attached to its
+  /// flight (single-flight) and completed with its hypotheses instead of
+  /// occupying a decode row.
   size_t InFlightDeduped = 0;
   /// Requests served from the decoded-hypotheses LRU: the whole beam
   /// decode was skipped (the non-overlapping-duplicates regime).
@@ -312,16 +327,20 @@ public:
 
 private:
   struct Completion;
+  struct Flight;
   struct Job;
   struct Shard;
-  struct ShardMsg;
 
   void dispatchLoop();
   void shardLoop(Shard &S);
-  void sendToShard(Shard &S, ShardMsg &&Msg);
+  void sendToShard(Shard &S, Job &&J);
+  /// Appends \p C to the open flight of source \p Key (dispatcher only);
+  /// false, with \p C intact, when that source has none.
+  bool attach(const std::string &Key, Completion &C);
+  /// Erases \p J's flight-table entry if it still points to J's flight
+  /// (a newer flight of the same source may have replaced it).
+  void forgetFlight(const Job &J);
   ThreadPool &verifyPool();
-  void finishJob(Job &&J,
-                 std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps);
   void completeOne(Completion &&C,
                    std::shared_ptr<const std::vector<nn::Hypothesis>> Hyps);
   void completeResult(RequestResult &&Res, Completion &&C);
@@ -346,6 +365,12 @@ private:
   FaultInjector Injector;
   AdmissionQueue Queue;
   ShardRouter Router;
+  /// The flight table (see the file comment): a source's token bytes ->
+  /// its flight. Lock order: FlightsMu, then a Flight's mutex, then
+  /// MetricsMu; shards never hold FlightsMu and a Flight's mutex
+  /// together.
+  std::mutex FlightsMu;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> Flights;
 
   /// The metrics storage (obs/Metrics.h): the caller's registry or the
   /// engine-owned fallback. OwnedReg is declared before Reg so the

@@ -199,15 +199,18 @@ std::vector<int> Tokenizer::encode(const std::string &Text) const {
 }
 
 std::string Tokenizer::decode(const std::vector<int> &Ids) const {
+  static const std::string Unk = "<unk>";
   std::string Out;
   for (int Id : Ids) {
     if (Id == PadId || Id == BosId || Id == EosId)
       continue;
-    const std::string &P =
-        Id >= 0 && static_cast<size_t>(Id) < Pieces.size()
-            ? Pieces[static_cast<size_t>(Id)]
-            : Pieces[UnkId];
-    Out += P;
+    // An id outside the vocabulary reads as <unk>, also in a vocabulary
+    // without that piece (a default-constructed tokenizer has none).
+    if (Id < 0 || static_cast<size_t>(Id) >= Pieces.size())
+      Id = UnkId;
+    Out += static_cast<size_t>(Id) < Pieces.size()
+               ? Pieces[static_cast<size_t>(Id)]
+               : Unk;
   }
   return replaceAll(std::move(Out), metaspace(), " ");
 }

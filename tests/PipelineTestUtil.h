@@ -2,7 +2,9 @@
 ///
 /// \file
 /// Compiles mini-C source through the full stack and runs it in the vm;
-/// shared by compiler, interpreter, and differential tests.
+/// shared by compiler, interpreter, and differential tests. Also the
+/// Decompiler fixture and the single-flight engine setup that the serve
+/// and trace tests share.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef SLADE_TESTS_PIPELINETESTUTIL_H
@@ -16,13 +18,17 @@
 #include "core/Trainer.h"
 #include "ir/IRGen.h"
 #include "ir/Passes.h"
+#include "serve/Engine.h"
 #include "vm/IOHarness.h"
 #include "vm/Interp.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 namespace slade {
@@ -132,6 +138,40 @@ struct DecompilerFixture {
                                                std::move(Sys.Model));
   }
 };
+
+/// One 1-row shard, decode LRU off, every tick slowed to 2 ms: a source
+/// decodes for many ticks, so an identical request submitted a few
+/// milliseconds after it attaches to its decode (single flight).
+inline serve::EngineOptions slowSingleFlightOptions() {
+  serve::EngineOptions EO;
+  EO.BeamSize = 5;
+  EO.MaxLen = 220;
+  EO.MaxLiveSources = 1;
+  EO.Shards = 1;
+  EO.UseDecodeCache = false;
+  EO.Faults.SlowTick = 1;
+  return EO;
+}
+
+/// Submits \p Asm as "main" and, 5 ms later, as "dup"; returns both
+/// handles once \p Eng (built with slowSingleFlightOptions) has attached
+/// the duplicate to main's decode. Fails the test when no attach shows
+/// within 2 s.
+inline std::pair<serve::Handle, serve::Handle>
+submitWithAttachedDuplicate(serve::Engine &Eng, const std::string &Asm) {
+  serve::Handle Main = Eng.submit({"main", Asm, {}, {}, nullptr});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  serve::Handle Dup = Eng.submit({"dup", Asm, {}, {}, nullptr});
+  auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (Eng.metrics().InFlightDeduped == 0) {
+    if (std::chrono::steady_clock::now() >= Until) {
+      ADD_FAILURE() << "the duplicate never attached";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return {std::move(Main), std::move(Dup)};
+}
 
 /// Field-by-field equality for two HypothesisOutcomes of the same job.
 inline void expectSameOutcome(const core::HypothesisOutcome &A,

@@ -477,6 +477,53 @@ TEST(ObsTrace, EngineRecordsOrderedLifecycleSpansAtEveryShardCount) {
   TR.clear();
 }
 
+TEST(ObsTrace, PromotedDuplicateDecodeSpanStartsAfterItsSubmit) {
+  // A sampled duplicate attaches to the decode of an unsampled request,
+  // which is then cancelled: the duplicate becomes the decode's front
+  // client and records the decode span, which must start no earlier
+  // than its own submit.
+  testutil::DecompilerFixture F(3);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  obs::TraceRecorder &TR = obs::trace();
+  TR.clear();
+  // Pick a seed that samples Seq 1 (the duplicate) but not Seq 0.
+  uint64_t Seed = 0;
+  for (; Seed < 64; ++Seed) {
+    TR.enable(/*SampleEvery=*/2, Seed);
+    if (!TR.sampled(0) && TR.sampled(1))
+      break;
+  }
+  ASSERT_LT(Seed, 64u);
+  {
+    serve::Engine Eng(*F.Slade, testutil::slowSingleFlightOptions());
+    auto [Main, Dup] =
+        testutil::submitWithAttachedDuplicate(Eng, F.Tasks[0].Prog.TargetAsm);
+    Main.cancel();
+    EXPECT_EQ(Main.get().Status, serve::RequestStatus::Cancelled);
+    EXPECT_TRUE(Dup.get().ok());
+  } // Engine stopped: the recorder is quiescent.
+  TR.disable();
+
+  RequestTimeline Dup;
+  size_t MainSpans = 0;
+  TR.forEachEvent([&](const obs::SpanEvent &E, uint32_t) {
+    if (obs::isShardScope(E.Kind))
+      return;
+    if (E.Id == 1)
+      Dup.ByKind[E.Kind].push_back(E);
+    else
+      ++MainSpans;
+  });
+  EXPECT_EQ(MainSpans, 0u) << "the main request is not sampled";
+  const obs::SpanEvent *Submit = Dup.one(obs::SpanKind::Submit);
+  const obs::SpanEvent *Decode = Dup.one(obs::SpanKind::Decode);
+  ASSERT_NE(Submit, nullptr);
+  ASSERT_NE(Decode, nullptr) << "the front client records the decode";
+  EXPECT_GE(Decode->StartNs, Submit->StartNs);
+  EXPECT_GE(Decode->Arg0, 1u) << "decode span carries step count";
+  TR.clear();
+}
+
 TEST(ObsTrace, UnsampledRequestsRecordNoLifecycleSpans) {
   testutil::DecompilerFixture F(4);
   ASSERT_GE(F.Tasks.size(), 2u);

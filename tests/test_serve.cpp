@@ -1000,6 +1000,61 @@ TEST(Engine, CancelResolvesInAnyStateAndRacesRetirementSafely) {
   expectAccountingClosed(M);
 }
 
+TEST(Engine, CancellingTheMainServesItsAttachedDuplicate) {
+  // The request that started a decode is cancelled while a duplicate is
+  // attached to it: the decode is still wanted, so it keeps its row and
+  // serves the duplicate, byte-identical to a solo translate.
+  ServeFixture F(3);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  const std::string &A = F.Tasks[0].Prog.TargetAsm;
+  serve::EngineOptions EO = testutil::slowSingleFlightOptions();
+  serve::Engine Eng(*F.Slade, EO);
+
+  auto [Main, Dup] = testutil::submitWithAttachedDuplicate(Eng, A);
+  Main.cancel();
+  EXPECT_EQ(Main.get().Status, serve::RequestStatus::Cancelled);
+  serve::RequestResult R = Dup.get();
+  ASSERT_TRUE(R.ok()) << serve::requestStatusName(R.Status);
+  EXPECT_EQ(R.Name, "dup");
+  EXPECT_EQ(R.CSource, F.Slade->translate(A, EO.BeamSize, EO.MaxLen));
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  ASSERT_EQ(M.Shards.size(), 1u);
+  EXPECT_EQ(M.Shards[0].Sources, 1u) << "one decode served the duplicate";
+  EXPECT_EQ(M.InFlightDeduped, 1u);
+  EXPECT_EQ(M.Cancelled, 1u);
+  expectAccountingClosed(M);
+}
+
+TEST(Engine, CancellingAnAttachedDuplicateLeavesTheMainDecoding) {
+  // A cancelled attached duplicate resolves on its own at the next tick;
+  // the decode it shared goes on for the request that started it.
+  ServeFixture F(3);
+  ASSERT_GE(F.Tasks.size(), 1u);
+  const std::string &A = F.Tasks[0].Prog.TargetAsm;
+  serve::EngineOptions EO = testutil::slowSingleFlightOptions();
+  serve::Engine Eng(*F.Slade, EO);
+
+  auto [Main, Dup] = testutil::submitWithAttachedDuplicate(Eng, A);
+  Dup.cancel();
+  serve::RequestResult D = Dup.get();
+  EXPECT_EQ(D.Status, serve::RequestStatus::Cancelled);
+  EXPECT_EQ(D.Name, "dup");
+  EXPECT_EQ(Main.future().wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the duplicate resolves while the main still decodes";
+  serve::RequestResult R = Main.get();
+  ASSERT_TRUE(R.ok()) << serve::requestStatusName(R.Status);
+  EXPECT_EQ(R.CSource, F.Slade->translate(A, EO.BeamSize, EO.MaxLen));
+  Eng.stop();
+  serve::EngineMetrics M = Eng.metrics();
+  ASSERT_EQ(M.Shards.size(), 1u);
+  EXPECT_EQ(M.Shards[0].Sources, 1u);
+  EXPECT_EQ(M.InFlightDeduped, 1u);
+  EXPECT_EQ(M.Cancelled, 1u);
+  expectAccountingClosed(M);
+}
+
 TEST(Engine, LoadSheddingAccountsEveryRequestExactlyOnce) {
   // Load-shedding mode under a producer storm into a tiny queue: the
   // served set and the shed set must partition the submissions — every

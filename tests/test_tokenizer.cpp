@@ -542,6 +542,16 @@ TEST(TokenizerOracle, DefaultConstructedTokenizer) {
                          hostileStrings(300, 0xdef), "default tokenizer");
 }
 
+TEST(TokenizerDecode, DefaultConstructedTokenizerStaysInBounds) {
+  // A default tokenizer has no pieces, not even <unk>: decoding its own
+  // encode (every byte UnkId) and ids past the vocabulary must not read
+  // past the empty piece table.
+  Tokenizer Tok;
+  EXPECT_EQ(Tok.decode(Tok.encode("a")), "<unk>");
+  EXPECT_EQ(Tok.decode({Tokenizer::BosId, 600, -1, Tokenizer::EosId}),
+            "<unk><unk>");
+}
+
 TEST(TokenizerTraining, RetrainsThePinnedTokenizersByteForByte) {
   // slade-train's recipe: one tokenizer over the asm and C of every pair
   // (trainSystem with no model steps), VocabSize 512.
